@@ -1,18 +1,22 @@
 type key = { deadline : float option; expected_tx_time : float; flow_id : int }
 
-let compare a b =
+let compare_parts da ta ia db tb ib =
   let by_deadline =
-    match (a.deadline, b.deadline) with
-    | Some da, Some db -> Stdlib.compare da db
+    match (da, db) with
+    | Some da, Some db -> Stdlib.compare (da : float) db
     | Some _, None -> -1
     | None, Some _ -> 1
     | None, None -> 0
   in
   if by_deadline <> 0 then by_deadline
   else begin
-    let by_ttx = Stdlib.compare a.expected_tx_time b.expected_tx_time in
-    if by_ttx <> 0 then by_ttx else Stdlib.compare a.flow_id b.flow_id
+    let by_ttx = Stdlib.compare (ta : float) tb in
+    if by_ttx <> 0 then by_ttx else Stdlib.compare (ia : int) ib
   end
+
+let compare a b =
+  compare_parts a.deadline a.expected_tx_time a.flow_id b.deadline
+    b.expected_tx_time b.flow_id
 
 let more_critical a b = compare a b < 0
 

@@ -20,6 +20,13 @@ val compare : key -> key -> int
 (** [compare a b < 0] iff flow [a] is more critical than flow [b].
     Total order: EDF, then SJF, then flow ID. *)
 
+val compare_parts :
+  float option -> float -> int -> float option -> float -> int -> int
+(** {!compare} on unpacked keys:
+    [compare_parts da ta ia db tb ib] compares
+    [{deadline = da; expected_tx_time = ta; flow_id = ia}] with the key
+    built from [db], [tb], [ib], without building either record. *)
+
 val more_critical : key -> key -> bool
 (** [more_critical a b] is [compare a b < 0]. *)
 

@@ -5,19 +5,13 @@ let length t = t.size
 let is_empty t = t.size = 0
 
 let index_of t flow_id =
-  let rec scan i =
-    if i >= t.size then None
-    else if t.entries.(i).Flow_state.flow_id = flow_id then Some i
-    else scan (i + 1)
-  in
-  scan 0
+  let i = ref 0 in
+  while !i < t.size && (Array.unsafe_get t.entries !i).Flow_state.flow_id <> flow_id do
+    incr i
+  done;
+  if !i < t.size then !i else -1
 
-let find t flow_id =
-  match index_of t flow_id with
-  | None -> None
-  | Some i -> Some (i, t.entries.(i))
-
-let mem t flow_id = index_of t flow_id <> None
+let mem t flow_id = index_of t flow_id >= 0
 
 let ensure_room t filler =
   if Array.length t.entries = 0 then t.entries <- Array.make 8 filler
@@ -30,13 +24,11 @@ let ensure_room t filler =
 (* Position at which [state] belongs so order stays sorted by
    criticality (most critical first). *)
 let insertion_point t state =
-  let key = Flow_state.key state in
-  let rec scan i =
-    if i >= t.size then i
-    else if Criticality.more_critical key (Flow_state.key t.entries.(i)) then i
-    else scan (i + 1)
-  in
-  scan 0
+  let i = ref 0 in
+  while !i < t.size && Flow_state.compare state (Array.unsafe_get t.entries !i) >= 0 do
+    incr i
+  done;
+  !i
 
 let insert t state =
   assert (not (mem t state.Flow_state.flow_id));
@@ -48,31 +40,22 @@ let insert t state =
   pos
 
 let remove_at t i =
-  let state = t.entries.(i) in
+  if i < 0 || i >= t.size then invalid_arg "Flow_list.remove_at: out of bounds";
   Array.blit t.entries (i + 1) t.entries i (t.size - i - 1);
-  t.size <- t.size - 1;
-  state
+  t.size <- t.size - 1
 
 let remove t flow_id =
-  match index_of t flow_id with
-  | None -> None
-  | Some i -> Some (remove_at t i)
+  let i = index_of t flow_id in
+  if i >= 0 then remove_at t i;
+  i >= 0
 
-let remove_least_critical t =
-  if t.size = 0 then None
-  else begin
-    t.size <- t.size - 1;
-    Some t.entries.(t.size)
-  end
+let remove_least_critical t = if t.size > 0 then t.size <- t.size - 1
+let clear t = t.size <- 0
 
-let least_critical t = if t.size = 0 then None else Some t.entries.(t.size - 1)
-
-let reposition t flow_id =
-  match index_of t flow_id with
-  | None -> None
-  | Some i ->
-      let state = remove_at t i in
-      Some (insert t state)
+let reposition t i =
+  let state = t.entries.(i) in
+  remove_at t i;
+  insert t state
 
 let get t i =
   if i < 0 || i >= t.size then invalid_arg "Flow_list.get: out of bounds";
@@ -91,18 +74,22 @@ let fold f init t =
   !acc
 
 let sending_count t =
-  fold (fun n s -> if Flow_state.is_sending s then n + 1 else n) 0 t
+  let n = ref 0 in
+  for i = 0 to t.size - 1 do
+    if Flow_state.is_sending t.entries.(i) then incr n
+  done;
+  !n
 
-let total_rate t = fold (fun acc s -> acc +. s.Flow_state.rate) 0. t
+let total_rate t =
+  let sum = ref 0. in
+  for i = 0 to t.size - 1 do
+    sum := !sum +. t.entries.(i).Flow_state.rate
+  done;
+  !sum
 
 let is_sorted t =
   let ok = ref true in
   for i = 0 to t.size - 2 do
-    if
-      Criticality.compare
-        (Flow_state.key t.entries.(i))
-        (Flow_state.key t.entries.(i + 1))
-      >= 0
-    then ok := false
+    if Flow_state.compare t.entries.(i) t.entries.(i + 1) >= 0 then ok := false
   done;
   !ok

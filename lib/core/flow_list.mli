@@ -5,7 +5,8 @@
 
     The container is agnostic to the bounding policy — {!Switch_port}
     applies the κ-based trimming; this module only guarantees order and
-    provides the primitives. *)
+    provides the primitives. Lookups return indices (-1 for "absent")
+    rather than options, so the per-packet path allocates nothing. *)
 
 type t
 
@@ -15,9 +16,9 @@ val create : unit -> t
 val length : t -> int
 val is_empty : t -> bool
 
-val find : t -> int -> (int * Flow_state.t) option
-(** [find t flow_id] is [(index, state)] of the flow, index 0 being the
-    most critical stored flow. *)
+val index_of : t -> int -> int
+(** [index_of t flow_id] is the flow's index, 0 being the most
+    critical stored flow, or -1 when it is not stored. *)
 
 val mem : t -> int -> bool
 
@@ -25,17 +26,22 @@ val insert : t -> Flow_state.t -> int
 (** Insert in criticality order; returns the insertion index. The flow
     must not already be present. *)
 
-val remove : t -> int -> Flow_state.t option
-(** Remove by flow id; returns the removed state. *)
+val remove_at : t -> int -> unit
+(** Remove the entry at an index. Raises [Invalid_argument] when out
+    of bounds. *)
 
-val remove_least_critical : t -> Flow_state.t option
-(** Drop and return the last (least critical) entry. *)
+val remove : t -> int -> bool
+(** Remove by flow id; [false] when the flow was not stored. *)
 
-val least_critical : t -> Flow_state.t option
+val remove_least_critical : t -> unit
+(** Drop the last (least critical) entry; no-op on an empty list. *)
 
-val reposition : t -> int -> int option
-(** Restore order after the keyed fields of the given flow were
-    mutated; returns its new index. *)
+val clear : t -> unit
+(** Drop every entry. *)
+
+val reposition : t -> int -> int
+(** [reposition t i] restores order after the keyed fields of the
+    entry at index [i] were mutated; returns its new index. *)
 
 val get : t -> int -> Flow_state.t
 (** [get t i] is the i-th most critical stored flow. Raises
@@ -54,5 +60,5 @@ val total_rate : t -> float
 (** Sum of the stored flows' accepted rates. *)
 
 val is_sorted : t -> bool
-(** Invariant check (used by tests): entries are in strictly increasing
-    criticality-key order. *)
+(** Invariant check (used by tests and the validation monitor): entries
+    are in strictly increasing {!Flow_state.compare} order. *)

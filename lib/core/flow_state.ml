@@ -19,12 +19,9 @@ let create ?deadline ~flow_id ~expected_tx_time ~rtt ~now () =
     last_seen = now;
   }
 
-let key t =
-  {
-    Criticality.deadline = t.deadline;
-    expected_tx_time = t.expected_tx_time;
-    flow_id = t.flow_id;
-  }
+let compare a b =
+  Criticality.compare_parts a.deadline a.expected_tx_time a.flow_id b.deadline
+    b.expected_tx_time b.flow_id
 
 let is_sending t = t.rate > 0.
 

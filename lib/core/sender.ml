@@ -17,8 +17,11 @@ type t = {
   mutable remaining : int;
 }
 
+(* [Units.bytes_to_bits] and [max] are spelled out so the arithmetic
+   stays unboxed: refreshed on every ACK. *)
 let ttx_of ~remaining ~max_rate ~efficiency =
-  Pdq_engine.Units.bytes_to_bits remaining /. max (max_rate *. efficiency) 1.
+  let r = max_rate *. efficiency in
+  float_of_int remaining *. 8. /. (if r >= 1. then r else 1.)
 
 (* Without flow-size knowledge (§5.6), the advertised criticality is
    the estimated size — one quantum more than the bytes already sent,
@@ -74,7 +77,7 @@ let refresh_ttx t =
     | Estimated q -> estimated_ttx t q)
 
 let set_remaining_bytes t n =
-  t.remaining <- max 0 n;
+  t.remaining <- Int.max 0 n;
   refresh_ttx t
 
 let set_max_rate t r =
@@ -86,7 +89,7 @@ let set_max_rate t r =
    on this subflow. *)
 let set_size t ~size ~acked =
   t.size_bytes <- size;
-  t.remaining <- max 0 (size - acked);
+  t.remaining <- Int.max 0 (size - acked);
   refresh_ttx t
 
 let make_header t ~t:_ =
@@ -94,12 +97,11 @@ let make_header t ~t:_ =
     ~expected_tx_time:t.expected_tx_time ~rtt:t.rtt ()
 
 let on_ack t (h : Header.t) ~acked_bytes ~rtt_sample ~now:_ =
-  (match rtt_sample with
-  | Some sample when sample > 0. ->
-      t.rtt <- (0.875 *. t.rtt) +. (0.125 *. sample);
-      if sample < t.rtt_min then t.rtt_min <- sample
-  | Some _ | None -> ());
-  t.remaining <- max 0 (t.size_bytes - acked_bytes);
+  if rtt_sample > 0. then begin
+    t.rtt <- (0.875 *. t.rtt) +. (0.125 *. rtt_sample);
+    if rtt_sample < t.rtt_min then t.rtt_min <- rtt_sample
+  end;
+  t.remaining <- Int.max 0 (t.size_bytes - acked_bytes);
   refresh_ttx t;
   let was_paused = t.paused_by and old_rate = t.rate in
   t.paused_by <- h.pause_by;

@@ -84,10 +84,11 @@ val make_header : t -> t:float -> Header.t
     rate [R_S^max] (§3.1), all other fields the current state. *)
 
 val on_ack :
-  t -> Header.t -> acked_bytes:int -> rtt_sample:float option -> now:float -> unit
+  t -> Header.t -> acked_bytes:int -> rtt_sample:float -> now:float -> unit
 (** Fold an ACK's reflected header into the sender state: records
     cumulative [acked_bytes], updates [T_S], applies the rate /
-    pause-by / inter-probe feedback and the RTT sample. *)
+    pause-by / inter-probe feedback and the RTT sample. A non-positive
+    [rtt_sample] carries no sample and leaves the RTT unchanged. *)
 
 val should_terminate : t -> now:float -> bool
 (** Early Termination (§3.1): true when (1) the deadline has passed,

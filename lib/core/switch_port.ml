@@ -1,15 +1,29 @@
-type t = {
-  config : Config.t;
-  switch_id : int;
-  link_rate : float;
-  init_rtt : float;
-  trace : Pdq_telemetry.Trace.t;
+(* [Stdlib.max]/[min] at type float, kept unboxed: the polymorphic
+   versions box both arguments. *)
+let fmax (a : float) b = if a >= b then a else b
+let fmin (a : float) b = if a <= b then a else b
+
+(* The estimators are rewritten per packet or per tick, so they live in
+   a flat all-float record: a float field of a mixed record boxes a
+   fresh float on every write. *)
+type est = {
   mutable rpdq : float;
   mutable c : float;
-  flows : Flow_list.t;
   mutable rtt_avg : float;
   mutable rtt_min : float;
   mutable last_accept : float;
+  mutable avail : float; (* result of the last [availbw] *)
+}
+
+type t = {
+  config : Config.t;
+  switch_id : int;
+  self : int option; (* [Some switch_id], built once for pause stamps *)
+  link_rate : float;
+  init_rtt : float;
+  trace : Pdq_telemetry.Trace.t;
+  est : est;
+  flows : Flow_list.t;
   mutable last_accepted_flow : int;
   mutable rebuilding : bool;
   fallback_seen : (int, float) Hashtbl.t;
@@ -20,15 +34,20 @@ let create ?(trace = Pdq_telemetry.Trace.null) ~config ~switch_id ~link_rate
   {
     config;
     switch_id;
+    self = Some switch_id;
     link_rate;
     init_rtt;
     trace;
-    rpdq = link_rate;
-    c = link_rate;
+    est =
+      {
+        rpdq = link_rate;
+        c = link_rate;
+        rtt_avg = init_rtt;
+        rtt_min = init_rtt;
+        last_accept = neg_infinity;
+        avail = 0.;
+      };
     flows = Flow_list.create ();
-    rtt_avg = init_rtt;
-    rtt_min = init_rtt;
-    last_accept = neg_infinity;
     last_accepted_flow = -1;
     rebuilding = false;
     fallback_seen = Hashtbl.create 16;
@@ -40,14 +59,12 @@ let create ?(trace = Pdq_telemetry.Trace.null) ~config ~switch_id ~link_rate
    the port to its just-created state. rPDQ is configuration, not
    learned state, and survives. *)
 let flush t =
-  while Flow_list.remove_least_critical t.flows <> None do
-    ()
-  done;
+  Flow_list.clear t.flows;
   Hashtbl.reset t.fallback_seen;
-  t.c <- t.rpdq;
-  t.rtt_avg <- t.init_rtt;
-  t.rtt_min <- t.init_rtt;
-  t.last_accept <- neg_infinity;
+  t.est.c <- t.est.rpdq;
+  t.est.rtt_avg <- t.init_rtt;
+  t.est.rtt_min <- t.init_rtt;
+  t.est.last_accept <- neg_infinity;
   t.last_accepted_flow <- -1;
   t.rebuilding <- true;
   if Pdq_telemetry.Trace.active t.trace then
@@ -55,17 +72,17 @@ let flush t =
 
 let switch_id t = t.switch_id
 let config t = t.config
-let set_rpdq t r = t.rpdq <- min r t.link_rate
-let rtt_avg t = t.rtt_avg
-let available_rate t = t.c
+let set_rpdq t r = t.est.rpdq <- fmin r t.link_rate
+let rtt_avg t = t.est.rtt_avg
+let available_rate t = t.est.c
 let flow_list t = t.flows
 let kappa t = Flow_list.sending_count t.flows
 
 let observe_rtt t rtt =
   if rtt > 0. then begin
     let w = t.config.Config.rtt_ewma in
-    t.rtt_avg <- ((1. -. w) *. t.rtt_avg) +. (w *. rtt);
-    if rtt < t.rtt_min then t.rtt_min <- rtt
+    t.est.rtt_avg <- ((1. -. w) *. t.est.rtt_avg) +. (w *. rtt);
+    if rtt < t.est.rtt_min then t.est.rtt_min <- rtt
   end
 
 (* Flow-list capacity: the 2κ most critical flows (κ sending flows),
@@ -73,28 +90,26 @@ let observe_rtt t rtt =
    the hard memory bound M (§3.3.1). *)
 let list_capacity t =
   let kappa = Flow_list.sending_count t.flows in
-  min t.config.Config.max_list_size
-    (max t.config.Config.min_list_size (t.config.Config.kappa_multiplier * kappa))
+  Int.min t.config.Config.max_list_size
+    (Int.max t.config.Config.min_list_size (t.config.Config.kappa_multiplier * kappa))
 
 (* Algorithm 2. Early Start: more critical flows that will finish within
    K RTTs do not count against the available bandwidth, up to an
-   aggregate transmission-time budget of K RTTs. *)
-let availbw t j ~now:_ =
+   aggregate transmission-time budget of K RTTs. The result goes to
+   [t.est.avail] rather than being returned, which would box it. *)
+let availbw t j =
   let k_budget = if t.config.Config.features.Config.early_start then t.config.Config.k_early_start else 0. in
-  let x = ref 0. and a = ref 0. in
-  (try
-     for i = 0 to j - 1 do
-       let e = Flow_list.get t.flows i in
-       let rtt = max e.Flow_state.rtt 1e-9 in
-       let ttx_rtts = e.Flow_state.expected_tx_time /. rtt in
-       if ttx_rtts < k_budget && !x < k_budget then x := !x +. ttx_rtts
-       else begin
-         a := !a +. e.Flow_state.rate;
-         if !a >= t.c then raise Exit
-       end
-     done
-   with Exit -> ());
-  if !a >= t.c then 0. else t.c -. !a
+  let c = t.est.c in
+  let x = ref 0. and a = ref 0. and i = ref 0 in
+  while !i < j && !a < c do
+    let e = Flow_list.get t.flows !i in
+    let rtt = fmax e.Flow_state.rtt 1e-9 in
+    let ttx_rtts = e.Flow_state.expected_tx_time /. rtt in
+    if ttx_rtts < k_budget && !x < k_budget then x := !x +. ttx_rtts
+    else a := !a +. e.Flow_state.rate;
+    incr i
+  done;
+  t.est.avail <- (if !a >= c then 0. else c -. !a)
 
 (* Who is to blame for a denial at index [j]: the most critical flow
    ahead of it whose reserved rate actually counts against the
@@ -114,7 +129,7 @@ let blocking_flow t j =
   (try
      for i = 0 to j - 1 do
        let e = Flow_list.get t.flows i in
-       let rtt = max e.Flow_state.rtt 1e-9 in
+       let rtt = fmax e.Flow_state.rtt 1e-9 in
        let ttx_rtts = e.Flow_state.expected_tx_time /. rtt in
        if ttx_rtts < k_budget && !x < k_budget then x := !x +. ttx_rtts
        else if e.Flow_state.rate > 0. then begin
@@ -133,7 +148,7 @@ let blocking_flow t j =
 let spec_early_start_rtts = 4.
 
 let mature_rate_sum ?(k_spec = spec_early_start_rtts) t =
-  let rtt = max t.rtt_avg 1e-9 in
+  let rtt = fmax t.est.rtt_avg 1e-9 in
   let x = ref 0. and sum = ref 0. in
   Flow_list.iteri
     (fun _ (e : Flow_state.t) ->
@@ -175,19 +190,20 @@ let invariant_errors t =
           (Printf.sprintf "flow %d: both stored and in RCP fallback"
              e.Flow_state.flow_id))
     t.flows;
-  if t.c < 0. || t.c > t.rpdq *. (1. +. 1e-9) then
-    add (Printf.sprintf "rate controller C = %g outside [0, rPDQ = %g]" t.c t.rpdq);
+  let c = t.est.c and rpdq = t.est.rpdq in
+  if c < 0. || c > rpdq *. (1. +. 1e-9) then
+    add (Printf.sprintf "rate controller C = %g outside [0, rPDQ = %g]" c rpdq);
   List.rev !errs
 
 let dampening_active t ~now ~flow_id =
   flow_id <> t.last_accepted_flow
-  && now -. t.last_accept < t.config.Config.dampening
+  && now -. t.est.last_accept < t.config.Config.dampening
 
 (* RCP fallback (§3.3.1): flows beyond the memory bound share whatever
    capacity the stored PDQ flows leave unused. Flow membership is
    tracked by last-seen time with a 2-RTT horizon. *)
 let fallback_purge t ~now =
-  let horizon = 4. *. t.rtt_avg in
+  let horizon = 4. *. t.est.rtt_avg in
   let stale =
     Hashtbl.fold
       (fun id seen acc -> if now -. seen > horizon then id :: acc else acc)
@@ -199,31 +215,27 @@ let fallback_rate t ~flow_id ~now =
   Hashtbl.replace t.fallback_seen flow_id now;
   fallback_purge t ~now;
   let n = max 1 (Hashtbl.length t.fallback_seen) in
-  let leftover = t.c -. Flow_list.total_rate t.flows in
-  max 0. (leftover /. float_of_int n)
+  let leftover = t.est.c -. Flow_list.total_rate t.flows in
+  fmax 0. (leftover /. float_of_int n)
 
 let fallback_flow_count t = Hashtbl.length t.fallback_seen
 
 (* Store a new flow if the list has room or the flow outranks the least
-   critical stored one; returns its index, or None when it must use the
+   critical stored one; returns its index, or -1 when it must use the
    RCP fallback. *)
 let try_store t (h : Header.t) ~flow_id ~now =
   let cap = list_capacity t in
-  let key =
-    {
-      Criticality.deadline = h.deadline;
-      expected_tx_time = h.expected_tx_time;
-      flow_id;
-    }
-  in
+  let n = Flow_list.length t.flows in
   let admissible =
-    Flow_list.length t.flows < cap
+    n < cap || n = 0
     ||
-    match Flow_list.least_critical t.flows with
-    | None -> true
-    | Some worst -> Criticality.more_critical key (Flow_state.key worst)
+    let worst = Flow_list.get t.flows (n - 1) in
+    Criticality.compare_parts h.deadline h.expected_tx_time flow_id
+      worst.Flow_state.deadline worst.Flow_state.expected_tx_time
+      worst.Flow_state.flow_id
+    < 0
   in
-  if not admissible then None
+  if not admissible then -1
   else begin
     let entry =
       Flow_state.create ?deadline:h.deadline ~flow_id
@@ -231,27 +243,31 @@ let try_store t (h : Header.t) ~flow_id ~now =
     in
     ignore (Flow_list.insert t.flows entry);
     let removed_self = ref false in
-    while Flow_list.length t.flows > max cap 1 do
-      match Flow_list.remove_least_critical t.flows with
-      | Some dropped when dropped.Flow_state.flow_id = flow_id ->
-          removed_self := true
-      | Some _ | None -> ()
+    while Flow_list.length t.flows > Int.max cap 1 do
+      let last = Flow_list.length t.flows - 1 in
+      if (Flow_list.get t.flows last).Flow_state.flow_id = flow_id then
+        removed_self := true;
+      Flow_list.remove_least_critical t.flows
     done;
-    if !removed_self then None
-    else
-      match Flow_list.find t.flows flow_id with
-      | Some (i, _) ->
-          if t.rebuilding then begin
-            (* First flow stored since the last flush: soft state is
-               being rebuilt from traversing headers. *)
-            t.rebuilding <- false;
-            if Pdq_telemetry.Trace.active t.trace then
-              Pdq_telemetry.Trace.(
-                emit t.trace (Switch_rebuilt { switch = t.switch_id }))
-          end;
-          Some i
-      | None -> None
+    if !removed_self then -1
+    else begin
+      let i = Flow_list.index_of t.flows flow_id in
+      if i >= 0 && t.rebuilding then begin
+        (* First flow stored since the last flush: soft state is
+           being rebuilt from traversing headers. *)
+        t.rebuilding <- false;
+        if Pdq_telemetry.Trace.active t.trace then
+          Pdq_telemetry.Trace.(
+            emit t.trace (Switch_rebuilt { switch = t.switch_id }))
+      end;
+      i
+    end
   end
+
+let pause t (h : Header.t) (e : Flow_state.t) ~victim_of =
+  h.pause_by <- t.self;
+  h.pause_flow <- victim_of;
+  e.Flow_state.pause_by <- t.self
 
 (* Algorithm 1: forward-path processing of a data/probe header. *)
 let process_forward t (h : Header.t) ~flow_id ~now =
@@ -261,87 +277,82 @@ let process_forward t (h : Header.t) ~flow_id ~now =
       (* Paused by another switch: drop our state for it so its share
          can be given to other flows. *)
       ignore (Flow_list.remove t.flows flow_id)
-  | Some _ | None -> (
-      let located =
-        match Flow_list.find t.flows flow_id with
-        | Some (_, e) ->
-            Flow_state.update_from_header e h ~now;
-            (match Flow_list.reposition t.flows flow_id with
-            | Some i -> Some (i, e)
-            | None -> None)
-        | None -> (
-            match try_store t h ~flow_id ~now with
-            | Some i -> Some (i, Flow_list.get t.flows i)
-            | None -> None)
+  | Some _ | None ->
+      let i = Flow_list.index_of t.flows flow_id in
+      let i =
+        if i >= 0 then begin
+          Flow_state.update_from_header (Flow_list.get t.flows i) h ~now;
+          Flow_list.reposition t.flows i
+        end
+        else try_store t h ~flow_id ~now
       in
-      match located with
-      | None ->
-          (* Memory bound exceeded: degrade to RCP fair sharing. *)
-          h.rate <- min h.rate (fallback_rate t ~flow_id ~now);
-          if h.rate <= 0. then begin
-            h.pause_by <- Some t.switch_id;
-            h.pause_flow <- None
-          end
-      | Some (i, e) ->
-          Hashtbl.remove t.fallback_seen flow_id;
-          let w = min (availbw t i ~now) h.rate in
-          let pause ~victim_of =
-            h.pause_by <- Some t.switch_id;
-            h.pause_flow <- victim_of;
-            e.Flow_state.pause_by <- Some t.switch_id
-          in
-          if w > 0. then begin
-            let sending = Flow_state.is_sending e in
-            if (not sending) && dampening_active t ~now ~flow_id then
-              (* The dampening window exists to let the last accepted
-                 flow ramp up unchallenged — that flow is the one
-                 holding this one back. *)
-              pause
-                ~victim_of:
-                  (if t.last_accepted_flow >= 0 then Some t.last_accepted_flow
-                   else None)
-            else begin
-              h.pause_by <- None;
-              h.pause_flow <- None;
-              h.rate <- w;
-              if not sending then begin
-                t.last_accept <- now;
-                t.last_accepted_flow <- flow_id
-              end
+      if i < 0 then begin
+        (* Memory bound exceeded: degrade to RCP fair sharing. *)
+        h.rate <- min h.rate (fallback_rate t ~flow_id ~now);
+        if h.rate <= 0. then begin
+          h.pause_by <- t.self;
+          h.pause_flow <- None
+        end
+      end
+      else begin
+        let e = Flow_list.get t.flows i in
+        Hashtbl.remove t.fallback_seen flow_id;
+        availbw t i;
+        if fmin t.est.avail h.rate > 0. then begin
+          let sending = Flow_state.is_sending e in
+          if (not sending) && dampening_active t ~now ~flow_id then
+            (* The dampening window exists to let the last accepted
+               flow ramp up unchallenged — that flow is the one
+               holding this one back. *)
+            pause t h e
+              ~victim_of:
+                (if t.last_accepted_flow >= 0 then Some t.last_accepted_flow
+                 else None)
+          else begin
+            h.pause_by <- None;
+            h.pause_flow <- None;
+            (* [h.rate <- min avail h.rate], writing (and boxing) only
+               when the rate actually drops. *)
+            if t.est.avail < h.rate then h.rate <- t.est.avail;
+            if not sending then begin
+              t.est.last_accept <- now;
+              t.last_accepted_flow <- flow_id
             end
           end
-          else pause ~victim_of:(blocking_flow t i))
+        end
+        else pause t h e ~victim_of:(blocking_flow t i)
+      end
 
 (* Algorithm 3: reverse-path (ACK) processing. *)
-let process_reverse t (h : Header.t) ~flow_id ~now:_ =
+let process_reverse t (h : Header.t) ~flow_id =
   (match h.pause_by with
-  | Some sid when sid <> t.switch_id -> ignore (Flow_list.remove t.flows flow_id)
-  | Some _ | None -> ());
-  if h.pause_by <> None then h.rate <- 0.;
-  match Flow_list.find t.flows flow_id with
-  | None -> ()
-  | Some (i, e) ->
-      e.Flow_state.pause_by <- h.pause_by;
-      if t.config.Config.features.Config.suppressed_probing then
-        h.inter_probe_rtts <-
-          max h.inter_probe_rtts (t.config.Config.probe_x *. float_of_int i);
-      e.Flow_state.rate <- h.rate
+  | Some sid ->
+      if sid <> t.switch_id then ignore (Flow_list.remove t.flows flow_id);
+      h.rate <- 0.
+  | None -> ());
+  let i = Flow_list.index_of t.flows flow_id in
+  if i >= 0 then begin
+    let e = Flow_list.get t.flows i in
+    e.Flow_state.pause_by <- h.pause_by;
+    if t.config.Config.features.Config.suppressed_probing then begin
+      (* [h.inter_probe_rtts <- max h.inter_probe_rtts ip], writing
+         (and boxing) only when it grows. *)
+      let ip = t.config.Config.probe_x *. float_of_int i in
+      if not (h.inter_probe_rtts >= ip) then h.inter_probe_rtts <- ip
+    end;
+    e.Flow_state.rate <- h.rate
+  end
 
 (* Stale-entry purge: a lost TERM (or a crashed sender) would otherwise
    leave a flow occupying bandwidth in the list forever. Paused flows
    probe at least every [probe_x * index] RTTs, so a generous multiple
    of the average RTT cannot evict a live flow. *)
 let purge_stale t ~now =
-  let horizon = max (60. *. t.rtt_avg) 0.01 in
-  let stale =
-    Flow_list.fold
-      (fun acc e ->
-        if now -. e.Flow_state.last_seen > horizon then
-          e.Flow_state.flow_id :: acc
-        else acc)
-      [] t.flows
-  in
-  List.iter (fun id -> ignore (Flow_list.remove t.flows id)) stale
+  let horizon = fmax (60. *. t.est.rtt_avg) 0.01 in
+  for i = Flow_list.length t.flows - 1 downto 0 do
+    if now -. (Flow_list.get t.flows i).Flow_state.last_seen > horizon then
+      Flow_list.remove_at t.flows i
+  done
 
 let update_rate_controller t ~queue_bytes ~now =
   purge_stale t ~now;
@@ -349,16 +360,16 @@ let update_rate_controller t ~queue_bytes ~now =
      one MTU of "queue" is not congestion; penalizing it would shave a
      permanent margin off every link. *)
   let q_bits =
-    Pdq_engine.Units.bytes_to_bits
-      (max 0 (queue_bytes - t.config.Config.queue_allowance_bytes))
+    (* [Units.bytes_to_bits], inlined to keep the result unboxed. *)
+    float_of_int (Int.max 0 (queue_bytes - t.config.Config.queue_allowance_bytes)) *. 8.
   in
   (* Drain against the min-filtered RTT: the smoothed estimate inflates
      with the very congestion the controller must remove, which would
      weaken the drain exactly when it is needed. *)
-  t.c <- max 0. (t.rpdq -. (q_bits /. (2. *. max t.rtt_min 1e-9)))
+  t.est.c <- fmax 0. (t.est.rpdq -. (q_bits /. (2. *. fmax t.est.rtt_min 1e-9)))
 
-let rate_update_interval t = t.config.Config.rate_update_rtts *. t.rtt_avg
+let rate_update_interval t = t.config.Config.rate_update_rtts *. t.est.rtt_avg
 
-let remove_flow t flow_id ~now:_ =
+let remove_flow t flow_id =
   ignore (Flow_list.remove t.flows flow_id);
   Hashtbl.remove t.fallback_seen flow_id

@@ -2,7 +2,7 @@
 
     A switch instantiates one [Switch_port] per output queue. The port
     owns the per-link flow list, the flow controller (Algorithms 1–3:
-    pausing/acceptance, Early Start via {!availbw}, dampening,
+    pausing/acceptance, Early Start, dampening,
     Suppressed Probing), the rate controller (C = rPDQ − q/(2·RTT)) and
     the RCP fallback for flows beyond the memory bound [M].
 
@@ -81,15 +81,10 @@ val process_forward : t -> Header.t -> flow_id:int -> now:float -> unit
     pause/accept, rewrites [rate]/[pause_by] in the header, or applies
     the RCP fallback when the flow cannot be stored. *)
 
-val process_reverse : t -> Header.t -> flow_id:int -> now:float -> unit
+val process_reverse : t -> Header.t -> flow_id:int -> unit
 (** Algorithm 3 — run on every ACK header travelling back: commits the
     global accept/pause decision into the flow list and stretches the
     inter-probe interval (Suppressed Probing). *)
-
-val availbw : t -> int -> now:float -> float
-(** Algorithm 2 — bandwidth available to the flow at the given list
-    index, skipping up to [K] RTTs' worth of nearly-completed more
-    critical flows (Early Start). *)
 
 val update_rate_controller : t -> queue_bytes:int -> now:float -> unit
 (** Rate-controller step (§3.3.3): set [C ← max(0, rPDQ − q/(2·RTT))].
@@ -99,7 +94,7 @@ val rate_update_interval : t -> float
 (** Seconds until the next rate-controller update (2 average RTTs by
     default). *)
 
-val remove_flow : t -> int -> now:float -> unit
+val remove_flow : t -> int -> unit
 (** Forget a flow (on TERM or timeout); frees its bandwidth share. *)
 
 val flush : t -> unit

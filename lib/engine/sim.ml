@@ -150,6 +150,7 @@ let clear_cancel t = t.cancel <- None
 let events_executed t = t.executed
 let stop t = t.stopped <- true
 let now t = t.clock.(0)
+let clock t = t.clock
 
 (* ------------------------------------------------------------------ *)
 (* Slot store. *)
@@ -323,6 +324,10 @@ let schedule ?(kind = Kind.unlabeled) t ~delay f =
   if delay < 0. then invalid_arg "Sim.schedule: negative delay";
   t.tscratch.(0) <- t.clock.(0) +. delay;
   do_schedule t kind f
+
+(* Slot [slot_mask] is never reached by the slot store, so this handle
+   never names a live event. *)
+let none = slot_mask
 
 let cancel t h =
   let slot = h land slot_mask and gen = h lsr slot_bits in

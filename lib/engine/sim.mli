@@ -32,6 +32,12 @@ val create : unit -> t
 val now : t -> float
 (** Current virtual time, in seconds. *)
 
+val clock : t -> float array
+(** The one-cell array holding the current time: [(clock sim).(0)] is
+    [now sim], read without boxing a float — hot paths in other modules
+    use it where a call to {!now} would allocate. Read-only: writing it
+    corrupts the simulation. *)
+
 val schedule : ?kind:Kind.t -> t -> delay:float -> (unit -> unit) -> handle
 (** [schedule sim ~delay f] runs [f] at time [now sim +. delay].
     Raises [Invalid_argument] if [delay < 0.]. [kind] is an interned
@@ -54,6 +60,11 @@ val schedule_k : t -> Kind.t -> delay:float -> (unit -> unit) -> handle
 
 val schedule_at_k : t -> Kind.t -> time:float -> (unit -> unit) -> handle
 (** {!schedule_at}, kind passed positionally (see {!schedule_k}). *)
+
+val none : handle
+(** A handle that never names a live event: {!cancel} ignores it and
+    {!cancelled} holds for it. Lets a record field hold "no pending
+    event" without an option cell; compare with [==]. *)
 
 val cancel : t -> handle -> unit
 (** Cancel a pending event. Its slot is recycled immediately (the

@@ -10,12 +10,64 @@ type loss_model =
   | Bernoulli of float
   | Gilbert of gilbert_elliott
 
+(* A growable power-of-two FIFO ring of packets. Popped slots are
+   overwritten with [filler] so a drained ring does not keep delivered
+   packets alive; the ring only ever grows, to the link's peak depth. *)
+module Ring = struct
+  type t = {
+    mutable buf : Packet.t array;
+    mutable head : int; (* index of the oldest packet *)
+    mutable len : int;
+  }
+
+  let filler =
+    {
+      Packet.uid = 0;
+      flow = -1;
+      src = -1;
+      dst = -1;
+      kind = Packet.Data;
+      wire_bytes = 0;
+      payload_bytes = 0;
+      seq = 0;
+      payload = Packet.No_payload;
+      sent_at = 0.;
+    }
+
+  let create () = { buf = Array.make 16 filler; head = 0; len = 0 }
+  let length r = r.len
+
+  let grow r =
+    let cap = Array.length r.buf in
+    let buf = Array.make (2 * cap) filler in
+    let first = min r.len (cap - r.head) in
+    Array.blit r.buf r.head buf 0 first;
+    Array.blit r.buf 0 buf first (r.len - first);
+    r.buf <- buf;
+    r.head <- 0
+
+  let push r pkt =
+    if r.len = Array.length r.buf then grow r;
+    r.buf.((r.head + r.len) land (Array.length r.buf - 1)) <- pkt;
+    r.len <- r.len + 1
+
+  (* Callers check [length] first. *)
+  let peek r = r.buf.(r.head)
+
+  let pop r =
+    let pkt = r.buf.(r.head) in
+    r.buf.(r.head) <- filler;
+    r.head <- (r.head + 1) land (Array.length r.buf - 1);
+    r.len <- r.len - 1;
+    pkt
+end
+
 (* The two per-packet events every delivered packet pays — end of
    serialization and delivery after propagation — reuse two closures
    allocated once per link. The packet travels through the [queue] /
-   [inflight] FIFOs instead of being captured: all deliveries on a link
+   [inflight] rings instead of being captured: all deliveries on a link
    share the same constant latency, so they complete in the order they
-   were scheduled and a queue carries exactly the right state. *)
+   were scheduled and a FIFO carries exactly the right state. *)
 type t = {
   sim : Pdq_engine.Sim.t;
   id : int;
@@ -24,13 +76,16 @@ type t = {
   rate : float;
   prop_delay : float;
   proc_delay : float;
+  latency : float; (* prop_delay +. proc_delay *)
   buffer_bytes : int;
-  queue : Packet.t Queue.t;
-  inflight : Packet.t Queue.t;
+  queue : Ring.t;
+  inflight : Ring.t;
   mutable tx_done : unit -> unit;
   mutable deliver : unit -> unit;
   mutable queued_bytes : int;
   mutable busy : bool;
+  mutable last_tx_bytes : int;
+  mutable last_tx_time : float;
   mutable receiver : Packet.t -> unit;
   mutable loss_model : loss_model;
   mutable loss_rng : Pdq_engine.Rng.t option;
@@ -53,28 +108,35 @@ let k_tx = Pdq_engine.Sim.Kind.register "link.tx"
 let k_deliver = Pdq_engine.Sim.Kind.register "link.deliver"
 
 let start_transmission t =
-  match Queue.peek_opt t.queue with
-  | None -> t.busy <- false
-  | Some pkt ->
-      t.busy <- true;
-      let tx = Pdq_engine.Units.tx_time ~bytes:pkt.Packet.wire_bytes ~rate:t.rate in
-      ignore (Pdq_engine.Sim.schedule_k t.sim k_tx ~delay:tx t.tx_done)
+  if Ring.length t.queue = 0 then t.busy <- false
+  else begin
+    let pkt = Ring.peek t.queue in
+    t.busy <- true;
+    let bytes = pkt.Packet.wire_bytes in
+    (* Packets on a link come in few sizes (MTU data one way, ACKs the
+       other): reuse the last serialization time, already boxed, when
+       the size repeats. *)
+    if bytes <> t.last_tx_bytes then begin
+      t.last_tx_bytes <- bytes;
+      t.last_tx_time <- Pdq_engine.Units.tx_time ~bytes ~rate:t.rate
+    end;
+    ignore (Pdq_engine.Sim.schedule_k t.sim k_tx ~delay:t.last_tx_time t.tx_done)
+  end
 
 let on_tx_done t =
-  let pkt = Queue.pop t.queue in
+  let pkt = Ring.pop t.queue in
   t.queued_bytes <- t.queued_bytes - pkt.Packet.wire_bytes;
   t.bytes_sent <- t.bytes_sent + pkt.Packet.wire_bytes;
   (match t.tap with
   | Some f -> f ~now:(Pdq_engine.Sim.now t.sim) ~bytes:pkt.Packet.wire_bytes
   | None -> ());
   t.delivered <- t.delivered + 1;
-  Queue.push pkt t.inflight;
-  let latency = t.prop_delay +. t.proc_delay in
+  Ring.push t.inflight pkt;
   ignore
-    (Pdq_engine.Sim.schedule_k t.sim k_deliver ~delay:latency t.deliver);
+    (Pdq_engine.Sim.schedule_k t.sim k_deliver ~delay:t.latency t.deliver);
   start_transmission t
 
-let on_deliver t = t.receiver (Queue.pop t.inflight)
+let on_deliver t = t.receiver (Ring.pop t.inflight)
 
 let create ~sim ~id ~src ~dst ~rate ~prop_delay ~proc_delay ~buffer_bytes () =
   let t = {
@@ -85,13 +147,16 @@ let create ~sim ~id ~src ~dst ~rate ~prop_delay ~proc_delay ~buffer_bytes () =
     rate;
     prop_delay;
     proc_delay;
+    latency = prop_delay +. proc_delay;
     buffer_bytes;
-    queue = Queue.create ();
-    inflight = Queue.create ();
+    queue = Ring.create ();
+    inflight = Ring.create ();
     tx_done = noop;
     deliver = noop;
     queued_bytes = 0;
     busy = false;
+    last_tx_bytes = -1;
+    last_tx_time = 0.;
     receiver = (fun _ -> failwith "Link: receiver not set");
     loss_model = No_loss;
     loss_rng = None;
@@ -121,7 +186,7 @@ let proc_delay t = t.proc_delay
 let set_receiver t f = t.receiver <- f
 let receiver t = t.receiver
 let queue_bytes t = t.queued_bytes
-let queue_packets t = Queue.length t.queue
+let queue_packets t = Ring.length t.queue
 
 let set_loss t ~rate ~rng =
   t.loss_model <- (if rate > 0. then Bernoulli rate else No_loss);
@@ -144,8 +209,7 @@ let bytes_sent t = t.bytes_sent
 let on_transmit t f = t.tap <- Some f
 let set_trace t trace = t.trace <- trace
 
-let utilization t ~since ~now =
-  ignore since;
+let utilization t ~now =
   let window = now -. t.last_window_start in
   if window <= 0. then 0.
   else begin
@@ -189,7 +253,7 @@ let send t pkt =
     record_drop t Pdq_telemetry.Trace.Overflow
   end
   else begin
-    Queue.push pkt t.queue;
+    Ring.push t.queue pkt;
     t.queued_bytes <- t.queued_bytes + pkt.Packet.wire_bytes;
     if not t.busy then start_transmission t
   end

@@ -108,9 +108,11 @@ val dropped_down : t -> int
 
 val bytes_sent : t -> int
 
-val utilization : t -> since:float -> now:float -> float
-(** Fraction of link capacity used between [since] and [now], based on
-    bytes serialized in that window (sampled cheaply; call sparingly). *)
+val utilization : t -> now:float -> float
+(** Fraction of link capacity used since the previous call (or since
+    time 0 on the first call), based on bytes serialized in that
+    window; the call then starts a new window at [now]. Returns [0.]
+    for an empty window. *)
 
 val on_transmit : t -> (now:float -> bytes:int -> unit) -> unit
 (** Register a tap called at the end of each packet serialization —

@@ -21,8 +21,7 @@ let max_payload ~scheduling_header = mtu - header_bytes - scheduling_header
 
 let uid_counter = ref 0
 
-let make ~flow ~src ~dst ~kind ?(payload_bytes = 0) ?(seq = 0) ?(extra_header = 0)
-    ~payload ~now () =
+let make ~flow ~src ~dst ~kind ~payload_bytes ~seq ~extra_header ~payload ~now =
   incr uid_counter;
   {
     uid = !uid_counter;

@@ -47,14 +47,17 @@ val make :
   src:int ->
   dst:int ->
   kind:kind ->
-  ?payload_bytes:int ->
-  ?seq:int ->
-  ?extra_header:int ->
+  payload_bytes:int ->
+  seq:int ->
+  extra_header:int ->
   payload:payload ->
   now:float ->
-  unit ->
   t
 (** Create a packet; [wire_bytes] is computed as
-    [header_bytes + extra_header + payload_bytes]. *)
+    [header_bytes + extra_header + payload_bytes]. [payload_bytes] and
+    [seq] are 0 for packets without data, [extra_header] is the
+    scheduling-header size (0 for plain TCP). Every argument is
+    required: an optional one would allocate an option cell per
+    packet. *)
 
 val pp_kind : Format.formatter -> kind -> unit

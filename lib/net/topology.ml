@@ -103,9 +103,13 @@ let link_count t = t.link_count
 let link t i = t.links.(i)
 let links_from t i = t.adj.(i)
 
-let link_to t ~src ~dst =
-  let id = List.assoc dst t.adj.(src) in
-  t.links.(id)
+(* [List.assoc] with int equality: called per hop, and the polymorphic
+   compare of [List.assoc] is a C call per adjacency entry. *)
+let rec link_id dst = function
+  | [] -> raise Not_found
+  | (peer, id) :: rest -> if peer = dst then id else link_id dst rest
+
+let link_to t ~src ~dst = t.links.(link_id dst t.adj.(src))
 
 (* Duplex administrative status: fail or restore both directions of
    the cable between two adjacent nodes. *)

@@ -35,6 +35,7 @@ type hooks = {
 
 type t = {
   sim : Sim.t;
+  clock : float array; (* [Sim.clock sim] *)
   topo : Topology.t;
   router : Router.t;
   rng : Pdq_engine.Rng.t;
@@ -60,6 +61,7 @@ let subflow_id_base = 1_000_000
 let create ?(trace = Trace.null) ~sim ~topo ~rng ~init_rtt () =
   {
     sim;
+    clock = Sim.clock sim;
     topo;
     router = Router.create topo;
     rng;
@@ -89,6 +91,7 @@ let router t = t.router
 let rng t = t.rng
 let init_rtt t = t.init_rtt
 let now t = Sim.now t.sim
+let clock t = t.clock
 
 let tally t = t.tally
 let trace t = t.trace
@@ -193,21 +196,23 @@ let fresh_subflow_id t =
   id
 
 let route t id =
-  match Hashtbl.find_opt t.routes id with
-  | Some p -> p
-  | None -> failwith (Printf.sprintf "Context.route: unknown flow %d" id)
+  match Hashtbl.find t.routes id with
+  | p -> p
+  | exception Not_found ->
+      failwith (Printf.sprintf "Context.route: unknown flow %d" id)
 
 let is_forward_kind = function
   | Packet.Syn | Packet.Data | Packet.Probe | Packet.Term -> true
   | Packet.Syn_ack | Packet.Ack -> false
 
-let position path node =
-  let rec scan i =
-    if i >= Array.length path then None
-    else if path.(i) = node then Some i
-    else scan (i + 1)
-  in
-  scan 0
+(* Index of [node] on [path], or -1 when the path does not visit it. *)
+let position (path : int array) (node : int) =
+  let n = Array.length path in
+  let i = ref 0 in
+  while !i < n && Array.unsafe_get path !i <> node do
+    incr i
+  done;
+  if !i < n then !i else -1
 
 let stale_drop t =
   record_fault t "drop.stale_route";
@@ -217,35 +222,34 @@ let stale_drop t =
 
 let transmit t ~from (pkt : Packet.t) =
   let path = route t pkt.Packet.flow in
-  match position path from with
-  | None ->
-      (* The flow was re-pinned (link failure) while this packet was in
-         flight on the old path: the node has no forwarding entry for
-         it any more. Drop it — the sender's retransmission machinery
-         recovers — and make the loss visible in the counters. *)
-      stale_drop t
-  | Some i ->
-      if is_forward_kind pkt.Packet.kind then begin
-        let next = path.(i + 1) in
-        let link = Topology.link_to t.topo ~src:from ~dst:next in
-        t.hooks.on_forward ~link:(Link.id link) pkt;
-        Link.send link pkt
-      end
-      else if i = 0 then
-        (* A reverse packet stranded at the (new) route's head that is
-           not the flow source: same stale-route drop. *)
-        stale_drop t
-      else begin
-        (* Reverse packets run Algorithm-3-style processing against the
-           forward-direction port at this node before heading back. *)
-        if i + 1 < Array.length path then begin
-          let fwd = Topology.link_to t.topo ~src:from ~dst:path.(i + 1) in
-          t.hooks.on_reverse ~fwd_link:(Link.id fwd) pkt
-        end;
-        let prev = path.(i - 1) in
-        let link = Topology.link_to t.topo ~src:from ~dst:prev in
-        Link.send link pkt
-      end
+  let i = position path from in
+  if i < 0 then
+    (* The flow was re-pinned (link failure) while this packet was in
+       flight on the old path: the node has no forwarding entry for
+       it any more. Drop it — the sender's retransmission machinery
+       recovers — and make the loss visible in the counters. *)
+    stale_drop t
+  else if is_forward_kind pkt.Packet.kind then begin
+    let next = path.(i + 1) in
+    let link = Topology.link_to t.topo ~src:from ~dst:next in
+    t.hooks.on_forward ~link:(Link.id link) pkt;
+    Link.send link pkt
+  end
+  else if i = 0 then
+    (* A reverse packet stranded at the (new) route's head that is
+       not the flow source: same stale-route drop. *)
+    stale_drop t
+  else begin
+    (* Reverse packets run Algorithm-3-style processing against the
+       forward-direction port at this node before heading back. *)
+    if i + 1 < Array.length path then begin
+      let fwd = Topology.link_to t.topo ~src:from ~dst:path.(i + 1) in
+      t.hooks.on_reverse ~fwd_link:(Link.id fwd) pkt
+    end;
+    let prev = path.(i - 1) in
+    let link = Topology.link_to t.topo ~src:from ~dst:prev in
+    Link.send link pkt
+  end
 
 let set_hooks t ~on_forward ~on_reverse ~deliver =
   t.hooks.on_forward <- on_forward;

@@ -7,33 +7,46 @@ let k_tick = Sim.Kind.register "d3.tick"
 
 let min_rate = 1e5
 
-type port = {
-  link : Link.t;
+(* [Stdlib.max]/[min] at type float, kept unboxed: the polymorphic
+   versions box both arguments. *)
+let fmax (a : float) b = if a >= b then a else b
+let fmin (a : float) b = if a <= b then a else b
+
+(* The per-port estimators change on every request, so they live in a
+   flat all-float record: a float field of a mixed record boxes on
+   every write. *)
+type est = {
   mutable fs : float;           (* fair share from last interval *)
   mutable avail : float;        (* unreserved capacity this interval *)
   mutable demand_acc : float;   (* sum of desired rates this interval *)
+  mutable rtt_avg : float;
+}
+
+type port = {
+  link : Link.t;
+  est : est;
   mutable n_acc : int;          (* flows that requested this interval *)
   granted : (int, float) Hashtbl.t; (* flow -> grant this interval *)
-  mutable rtt_avg : float;
 }
 
 type t = { ctx : Context.t; ports : port array; inner : Rate_flow.t }
 
-let fair_share t ~link = t.ports.(link).fs
+let fair_share t ~link = t.ports.(link).est.fs
 let flow_count t ~link = Hashtbl.length t.ports.(link).granted
 
 (* Interval rollover: compute next interval's fair share from this
    interval's demand, reset reservations. *)
 let rollover p =
+  let e = p.est in
   let q_bits = Pdq_engine.Units.bytes_to_bits (Link.queue_bytes p.link) in
   let c_eff =
-    max 0. (Link.rate p.link -. (q_bits /. (2. *. max p.rtt_avg 1e-9)))
+    fmax 0. (Link.rate p.link -. (q_bits /. (2. *. fmax e.rtt_avg 1e-9)))
   in
   (* Non-negative fair share (the fix described in §5.1). *)
-  p.fs <- max 0. ((c_eff -. p.demand_acc) /. float_of_int (max 1 p.n_acc));
-  if p.n_acc = 0 then p.fs <- c_eff;
-  p.avail <- c_eff;
-  p.demand_acc <- 0.;
+  e.fs <- fmax 0. ((c_eff -. e.demand_acc) /. float_of_int (Int.max 1 p.n_acc));
+  if p.n_acc = 0 then e.fs <- c_eff;
+  e.avail <- c_eff;
+  e.demand_acc <- 0.;
   p.n_acc <- 0;
   Hashtbl.reset p.granted
 
@@ -44,20 +57,21 @@ let on_forward t ~link (pkt : Packet.t) =
       | Packet.Term -> Hashtbl.remove t.ports.(link).granted pkt.Packet.flow
       | Packet.Syn | Packet.Data | Packet.Probe -> (
           let p = t.ports.(link) in
+          let e = p.est in
           if ctrl.Payloads.d3_rtt > 0. then
-            p.rtt_avg <- (0.875 *. p.rtt_avg) +. (0.125 *. ctrl.Payloads.d3_rtt);
-          match Hashtbl.find_opt p.granted pkt.Packet.flow with
-          | Some g ->
-              ctrl.Payloads.d3_allocated <- min ctrl.Payloads.d3_allocated g
-          | None ->
+            e.rtt_avg <- (0.875 *. e.rtt_avg) +. (0.125 *. ctrl.Payloads.d3_rtt);
+          match Hashtbl.find p.granted pkt.Packet.flow with
+          | g ->
+              ctrl.Payloads.d3_allocated <- fmin ctrl.Payloads.d3_allocated g
+          | exception Not_found ->
               (* First request of the interval: reserve greedily, in
                  arrival order (first-come first-reserve). *)
-              p.demand_acc <- p.demand_acc +. ctrl.Payloads.d3_desired;
+              e.demand_acc <- e.demand_acc +. ctrl.Payloads.d3_desired;
               p.n_acc <- p.n_acc + 1;
-              let g = max 0. (min (ctrl.Payloads.d3_desired +. p.fs) p.avail) in
-              p.avail <- p.avail -. g;
+              let g = fmax 0. (fmin (ctrl.Payloads.d3_desired +. e.fs) e.avail) in
+              e.avail <- e.avail -. g;
               Hashtbl.replace p.granted pkt.Packet.flow g;
-              ctrl.Payloads.d3_allocated <- min ctrl.Payloads.d3_allocated g)
+              ctrl.Payloads.d3_allocated <- fmin ctrl.Payloads.d3_allocated g)
       | Packet.Syn_ack | Packet.Ack -> ())
   | _ -> ()
 
@@ -105,12 +119,13 @@ let ops ctx nic_rate : Rate_flow.ops =
       (fun s pkt ->
         match pkt.Packet.payload with
         | Payloads.D3_ctrl (ctrl, _) ->
-            Debug.tracef "%.6f d3-ack flow=%d desired=%.3e alloc=%.3e"
-              (Context.now ctx)
-              (Rate_flow.sender_flow s).Context.id ctrl.Payloads.d3_desired
-              ctrl.Payloads.d3_allocated;
-            Some ctrl.Payloads.d3_allocated
-        | _ -> None);
+            if Debug.trace_on () then
+              Debug.tracef "%.6f d3-ack flow=%d desired=%.3e alloc=%.3e"
+                (Context.now ctx)
+                (Rate_flow.sender_flow s).Context.id ctrl.Payloads.d3_desired
+                ctrl.Payloads.d3_allocated;
+            ctrl.Payloads.d3_allocated
+        | _ -> -1.);
     (* Quenching: kill a deadline flow once the deadline passed or the
        required rate exceeds what the NIC could ever deliver. *)
     quench =
@@ -129,12 +144,15 @@ let install ~ctx ~until =
         let link = Topology.link topo i in
         {
           link;
-          fs = Link.rate link;
-          avail = Link.rate link;
-          demand_acc = 0.;
+          est =
+            {
+              fs = Link.rate link;
+              avail = Link.rate link;
+              demand_acc = 0.;
+              rtt_avg = Context.init_rtt ctx;
+            };
           n_acc = 0;
           granted = Hashtbl.create 16;
-          rtt_avg = Context.init_rtt ctx;
         })
   in
   (* NIC rate: hosts are homogeneous in our topologies; use the first
@@ -156,11 +174,11 @@ let install ~ctx ~until =
         (fun p ->
           if Link.src p.link = node then begin
             Hashtbl.reset p.granted;
-            p.fs <- Link.rate p.link;
-            p.avail <- Link.rate p.link;
-            p.demand_acc <- 0.;
+            p.est.fs <- Link.rate p.link;
+            p.est.avail <- Link.rate p.link;
+            p.est.demand_acc <- 0.;
             p.n_acc <- 0;
-            p.rtt_avg <- Context.init_rtt ctx
+            p.est.rtt_avg <- Context.init_rtt ctx
           end)
         ports);
   Context.set_hooks ctx
@@ -173,7 +191,7 @@ let install ~ctx ~until =
       let rec tick () =
         if Sim.now sim <= until then begin
           rollover p;
-          ignore (Sim.schedule_k sim k_tick ~delay:(max p.rtt_avg 5e-5) tick)
+          ignore (Sim.schedule_k sim k_tick ~delay:(fmax p.est.rtt_avg 5e-5) tick)
         end
       in
       ignore (Sim.schedule_k sim k_tick ~delay:0. tick))

@@ -17,6 +17,8 @@ let pdq_header_bytes = Pdq_core.Header.wire_bytes
 let rcp_header_bytes = 8
 let d3_header_bytes = 12
 
+let no_ack = { cum_ack = -1; echo_ts = 0. }
+
 let ack_of = function
-  | Pdq_sched (_, a) | Rcp_ctrl (_, a) | D3_ctrl (_, a) | Tcp_ctrl a -> Some a
-  | _ -> None
+  | Pdq_sched (_, a) | Rcp_ctrl (_, a) | D3_ctrl (_, a) | Tcp_ctrl a -> a
+  | _ -> no_ack

@@ -36,5 +36,9 @@ val pdq_header_bytes : int
 val rcp_header_bytes : int
 val d3_header_bytes : int
 
-val ack_of : Pdq_net.Packet.payload -> ack_info option
-(** The ack block of any protocol payload, if present. *)
+val no_ack : ack_info
+(** Stands for "no ack block"; compare with [==]. *)
+
+val ack_of : Pdq_net.Packet.payload -> ack_info
+(** The ack block of any protocol payload, or {!no_ack} when it has
+    none. *)

@@ -1,5 +1,4 @@
 module Sim = Pdq_engine.Sim
-module Units = Pdq_engine.Units
 module Packet = Pdq_net.Packet
 module Link = Pdq_net.Link
 module Topology = Pdq_net.Topology
@@ -39,8 +38,8 @@ and stream = {
   mutable probes_unanswered : int;
   mutable last_progress : float;
   mutable last_tx : float; (* departure time of the previous data packet *)
-  mutable send_ev : Sim.handle option;
-  mutable probe_ev : Sim.handle option;
+  mutable send_ev : Sim.handle; (* [Sim.none] when nothing is pending *)
+  mutable probe_ev : Sim.handle;
   mutable closed : bool;
   mutable terminated : bool;
   (* Allocated once per stream so the pacing, probing and watchdog
@@ -56,6 +55,12 @@ and stream = {
 let max_payload = Packet.max_payload ~scheduling_header:Payloads.pdq_header_bytes
 
 let noop () = ()
+
+(* [Stdlib.max]/[min] at type float, kept unboxed: the polymorphic
+   versions box both arguments. *)
+let fmax (a : float) b = if a >= b then a else b
+let fmin (a : float) b = if a <= b then a else b
+
 let k_send = Sim.Kind.register "pdq.send"
 let k_probe = Sim.Kind.register "pdq.probe"
 let k_watchdog = Sim.Kind.register "pdq.watchdog"
@@ -84,15 +89,16 @@ let port_flow_counts t ~link =
   let active = Switch_port.kappa port in
   (active, stored - active)
 
-let cancel_opt s ev =
-  match ev with
-  | Some h ->
-      Sim.cancel (Context.sim s.proto.ctx) h;
-      None
-  | None -> None
+let cancel_send s =
+  Sim.cancel (Context.sim s.proto.ctx) s.send_ev;
+  s.send_ev <- Sim.none
+
+let cancel_probe s =
+  Sim.cancel (Context.sim s.proto.ctx) s.probe_ev;
+  s.probe_ev <- Sim.none
 
 let now s = Context.now s.proto.ctx
-let rto s = max (3. *. Sender.rtt s.core) 1e-3
+let rto s = fmax (3. *. Sender.rtt s.core) 1e-3
 
 (* Highest line rate among a host's ports: the rate the host NIC can
    source or sink. *)
@@ -102,27 +108,29 @@ let nic_rate topo node =
     0.
     (Topology.links_from topo node)
 
-let make_pkt s ~kind ?(payload_bytes = 0) ?(seq = 0) ~hdr ~cum_ack () =
+(* A forward packet from the sender, stamped [now], carrying a fresh
+   scheduling header. *)
+let make_pkt s ~kind ~payload_bytes ~seq ~now =
+  let hdr = Sender.make_header s.core ~t:now in
   Packet.make ~flow:s.sid ~src:s.src ~dst:s.dst ~kind ~payload_bytes ~seq
     ~extra_header:Payloads.pdq_header_bytes
-    ~payload:(Payloads.Pdq_sched (hdr, { Payloads.cum_ack; echo_ts = now s }))
-    ~now:(now s) ()
+    ~payload:(Payloads.Pdq_sched (hdr, { Payloads.cum_ack = 0; echo_ts = now }))
+    ~now
 
 let send_syn s =
-  s.last_syn <- now s;
-  let hdr = Sender.make_header s.core ~t:(now s) in
+  let now = now s in
+  s.last_syn <- now;
   Context.transmit s.proto.ctx ~from:s.src
-    (make_pkt s ~kind:Packet.Syn ~hdr ~cum_ack:0 ())
+    (make_pkt s ~kind:Packet.Syn ~payload_bytes:0 ~seq:0 ~now)
 
 let send_term s =
-  let hdr = Sender.make_header s.core ~t:(now s) in
   Context.transmit s.proto.ctx ~from:s.src
-    (make_pkt s ~kind:Packet.Term ~hdr ~cum_ack:0 ())
+    (make_pkt s ~kind:Packet.Term ~payload_bytes:0 ~seq:0 ~now:(now s))
 
 let close_sender s =
   s.closed <- true;
-  s.send_ev <- cancel_opt s s.send_ev;
-  s.probe_ev <- cancel_opt s s.probe_ev
+  cancel_send s;
+  cancel_probe s
 
 let finish_sender s =
   if not s.closed then begin
@@ -138,8 +146,9 @@ let finish_sender s =
    on the parent flow. *)
 let abort s ~cause =
   if not s.closed then begin
-    Debug.debugf "%.6f ABORT flow=%d cause=%s acked=%d/%d" (now s) s.sid cause
-      s.acked s.size;
+    if Debug.on () then
+      Debug.debugf "%.6f ABORT flow=%d cause=%s acked=%d/%d" (now s) s.sid cause
+        s.acked s.size;
     close_sender s;
     s.terminated <- true;
     send_term s;
@@ -190,38 +199,35 @@ let pacing_interval s ~wire_bytes =
   let rate = Sender.rate s.core in
   if rate <= 0. then infinity
   else
-    min
-      (Units.tx_time ~bytes:wire_bytes ~rate)
-      (max (4. *. Sender.rtt s.core) 2e-3)
+    fmin
+      (float_of_int wire_bytes *. 8. /. rate (* Units.tx_time, unboxed *))
+      (fmax (4. *. Sender.rtt s.core) 2e-3)
 
 (* Paced data transmission: one packet per event, the next scheduled a
    serialization interval (at the granted rate) later. *)
 let send_data s () =
-  s.send_ev <- None;
+  s.send_ev <- Sim.none;
   if (not s.closed) && Sender.rate s.core > 0. && s.next_seq < s.size then begin
-    let payload = min max_payload (s.size - s.next_seq) in
-    let hdr = Sender.make_header s.core ~t:(now s) in
+    let payload = Int.min max_payload (s.size - s.next_seq) in
+    let now = now s in
     let pkt =
-      make_pkt s ~kind:Packet.Data ~payload_bytes:payload ~seq:s.next_seq ~hdr
-        ~cum_ack:0 ()
+      make_pkt s ~kind:Packet.Data ~payload_bytes:payload ~seq:s.next_seq ~now
     in
     Context.transmit s.proto.ctx ~from:s.src pkt;
     s.next_seq <- s.next_seq + payload;
     if s.next_seq > s.sent_hi then s.sent_hi <- s.next_seq;
-    s.last_tx <- now s;
+    s.last_tx <- now;
     if s.next_seq < s.size then begin
       let interval = pacing_interval s ~wire_bytes:pkt.Packet.wire_bytes in
       s.send_ev <-
-        Some
-          (Sim.schedule_k (Context.sim s.proto.ctx) k_send
-             ~delay:interval s.send_fn)
+        Sim.schedule_k (Context.sim s.proto.ctx) k_send ~delay:interval s.send_fn
     end
   end
 
 let ensure_sending s =
   if
     (not s.closed)
-    && s.send_ev = None
+    && s.send_ev == Sim.none
     && Sender.rate s.core > 0.
     && s.next_seq < s.size
   then begin
@@ -230,23 +236,21 @@ let ensure_sending s =
     let interval =
       pacing_interval s ~wire_bytes:(max_payload + Packet.header_bytes)
     in
-    let delay = max 0. (s.last_tx +. interval -. now s) in
-    s.send_ev <-
-      Some
-        (Sim.schedule_k (Context.sim s.proto.ctx) k_send ~delay s.send_fn)
+    let delay = fmax 0. (s.last_tx +. interval -. now s) in
+    s.send_ev <- Sim.schedule_k (Context.sim s.proto.ctx) k_send ~delay s.send_fn
   end
 
 let probe_loop s () =
-  s.probe_ev <- None;
+  s.probe_ev <- Sim.none;
   if (not s.closed) && Sender.is_paused s.core && s.syn_acked then begin
-    Debug.debugf "%.6f probe flow=%d ip=%g rtt=%g" (now s) s.sid
-      (Sender.inter_probe_interval s.core)
-      (Sender.rtt s.core);
-    let hdr = Sender.make_header s.core ~t:(now s) in
+    if Debug.on () then
+      Debug.debugf "%.6f probe flow=%d ip=%g rtt=%g" (now s) s.sid
+        (Sender.inter_probe_interval s.core)
+        (Sender.rtt s.core);
     Context.transmit s.proto.ctx ~from:s.src
-      (make_pkt s ~kind:Packet.Probe ~hdr ~cum_ack:0 ());
+      (make_pkt s ~kind:Packet.Probe ~payload_bytes:0 ~seq:0 ~now:(now s));
     s.probes_unanswered <- s.probes_unanswered + 1;
-    let base = max (Sender.inter_probe_interval s.core) 1e-5 in
+    let base = fmax (Sender.inter_probe_interval s.core) 1e-5 in
     (* A healthy paused flow sees each probe answered within ~1 RTT, so
        more than a few unanswered probes means the path is suspect:
        back the probing off exponentially (with jitter) instead of
@@ -257,29 +261,25 @@ let probe_loop s () =
         let expo = min (s.probes_unanswered - probe_backoff_threshold) backoff_cap in
         jittered (Context.rng s.proto.ctx) (base *. float_of_int (1 lsl expo))
     in
-    s.probe_ev <-
-      Some
-        (Sim.schedule_k (Context.sim s.proto.ctx) k_probe ~delay s.probe_fn)
+    s.probe_ev <- Sim.schedule_k (Context.sim s.proto.ctx) k_probe ~delay s.probe_fn
   end
 
 let ensure_probing s =
-  if (not s.closed) && s.probe_ev = None && Sender.is_paused s.core && s.syn_acked
+  if (not s.closed) && s.probe_ev == Sim.none && Sender.is_paused s.core && s.syn_acked
   then begin
-    let delay = max (Sender.inter_probe_interval s.core) 1e-5 in
-    s.probe_ev <-
-      Some
-        (Sim.schedule_k (Context.sim s.proto.ctx) k_probe ~delay s.probe_fn)
+    let delay = fmax (Sender.inter_probe_interval s.core) 1e-5 in
+    s.probe_ev <- Sim.schedule_k (Context.sim s.proto.ctx) k_probe ~delay s.probe_fn
   end
 
 let adjust_loops s =
   if Sender.is_paused s.core then begin
-    s.send_ev <- cancel_opt s s.send_ev;
+    cancel_send s;
     ensure_probing s
   end
   else begin
-    s.probe_ev <- cancel_opt s s.probe_ev;
+    cancel_probe s;
     (* Re-pace a pending departure at the fresh rate. *)
-    s.send_ev <- cancel_opt s s.send_ev;
+    cancel_send s;
     ensure_sending s
   end
 
@@ -324,7 +324,7 @@ let watchdog s () =
         ensure_sending s
       end;
       if not s.closed then begin
-        let delay = max (Sender.rtt s.core) 5e-4 in
+        let delay = fmax (Sender.rtt s.core) 5e-4 in
         ignore
           (Sim.schedule_k (Context.sim s.proto.ctx) k_watchdog ~delay
              s.watchdog_fn)
@@ -333,10 +333,11 @@ let watchdog s () =
   end
 
 let on_ack_packet s (hdr : Header.t) (ack : Payloads.ack_info) =
-  Debug.tracef "%.6f ack flow=%d rate=%g pause=%s cum=%d"
-    (Context.now s.proto.ctx) s.sid hdr.Header.rate
-    (match hdr.Header.pause_by with None -> "-" | Some i -> string_of_int i)
-    ack.Payloads.cum_ack;
+  if Debug.trace_on () then
+    Debug.tracef "%.6f ack flow=%d rate=%g pause=%s cum=%d"
+      (Context.now s.proto.ctx) s.sid hdr.Header.rate
+      (match hdr.Header.pause_by with None -> "-" | Some i -> string_of_int i)
+      ack.Payloads.cum_ack;
   if not s.closed then begin
     if not s.syn_acked then begin
       s.syn_acked <- true;
@@ -348,8 +349,7 @@ let on_ack_packet s (hdr : Header.t) (ack : Payloads.ack_info) =
     s.last_ack <- t;
     s.probes_unanswered <- 0;
     let rtt_sample = t -. ack.Payloads.echo_ts in
-    Sender.on_ack s.core hdr ~acked_bytes:ack.Payloads.cum_ack
-      ~rtt_sample:(Some rtt_sample) ~now:t;
+    Sender.on_ack s.core hdr ~acked_bytes:ack.Payloads.cum_ack ~rtt_sample ~now:t;
     if ack.Payloads.cum_ack > s.acked then begin
       s.acked <- ack.Payloads.cum_ack;
       s.dup_acks <- 0;
@@ -370,11 +370,9 @@ let on_ack_packet s (hdr : Header.t) (ack : Payloads.ack_info) =
          if Pdq_telemetry.Trace.active trace then
            Pdq_telemetry.Trace.(
              emit trace (Flow_retransmit { flow = s.sid; kind = "fast" })));
-        let payload = min max_payload (s.size - s.acked) in
-        let hdr = Sender.make_header s.core ~t in
+        let payload = Int.min max_payload (s.size - s.acked) in
         Context.transmit s.proto.ctx ~from:s.src
-          (make_pkt s ~kind:Packet.Data ~payload_bytes:payload ~seq:s.acked
-             ~hdr ~cum_ack:0 ())
+          (make_pkt s ~kind:Packet.Data ~payload_bytes:payload ~seq:s.acked ~now:t)
       end
     end;
     if s.acked >= s.size then finish_sender s
@@ -391,7 +389,7 @@ let reply s (pkt : Packet.t) ~kind =
       let echo = Header.copy hdr in
       echo.Header.rate <- min echo.Header.rate s.rx_max_rate;
       let ack =
-        Packet.make ~flow:s.sid ~src:s.dst ~dst:s.src ~kind
+        Packet.make ~flow:s.sid ~src:s.dst ~dst:s.src ~kind ~payload_bytes:0 ~seq:0
           ~extra_header:Payloads.pdq_header_bytes
           ~payload:
             (Payloads.Pdq_sched
@@ -400,7 +398,7 @@ let reply s (pkt : Packet.t) ~kind =
                    Payloads.cum_ack = Rx_buffer.cumulative_ack s.rx;
                    echo_ts = pkt.Packet.sent_at;
                  } ))
-          ~now:(now s) ()
+          ~now:(now s)
       in
       Context.transmit s.proto.ctx ~from:s.dst ack
   | _ -> ()
@@ -427,9 +425,9 @@ let receiver_handle s (pkt : Packet.t) =
   | Packet.Syn_ack | Packet.Ack -> ()
 
 let deliver t ~node (pkt : Packet.t) =
-  match Hashtbl.find_opt t.streams pkt.Packet.flow with
-  | None -> ()
-  | Some s -> (
+  match Hashtbl.find t.streams pkt.Packet.flow with
+  | exception Not_found -> ()
+  | s -> (
       match pkt.Packet.kind with
       | Packet.Syn | Packet.Data | Packet.Probe | Packet.Term ->
           if node = s.dst then receiver_handle s pkt
@@ -443,11 +441,11 @@ let on_forward t ~link (pkt : Packet.t) =
   match pkt.Packet.payload with
   | Payloads.Pdq_sched (hdr, _) -> (
       let port = t.ports.(link) in
-      let tnow = Context.now t.ctx in
       match pkt.Packet.kind with
-      | Packet.Term -> Switch_port.remove_flow port pkt.Packet.flow ~now:tnow
+      | Packet.Term -> Switch_port.remove_flow port pkt.Packet.flow
       | Packet.Syn | Packet.Data | Packet.Probe ->
-          Switch_port.process_forward port hdr ~flow_id:pkt.Packet.flow ~now:tnow
+          Switch_port.process_forward port hdr ~flow_id:pkt.Packet.flow
+            ~now:(Context.now t.ctx)
       | Packet.Syn_ack | Packet.Ack -> ())
   | _ -> ()
 
@@ -455,7 +453,6 @@ let on_reverse t ~fwd_link (pkt : Packet.t) =
   match pkt.Packet.payload with
   | Payloads.Pdq_sched (hdr, _) ->
       Switch_port.process_reverse t.ports.(fwd_link) hdr ~flow_id:pkt.Packet.flow
-        ~now:(Context.now t.ctx)
   | _ -> ()
 
 let install ?(size_info = Sender.Known) ~config ~ctx ~until () =
@@ -490,7 +487,7 @@ let install ?(size_info = Sender.Known) ~config ~ctx ~until () =
         if Sim.now sim <= until then begin
           Switch_port.update_rate_controller port
             ~queue_bytes:(Link.queue_bytes link) ~now:(Sim.now sim);
-          let delay = max (Switch_port.rate_update_interval port) 2e-5 in
+          let delay = fmax (Switch_port.rate_update_interval port) 2e-5 in
           ignore (Sim.schedule_k sim k_rate_ctl ~delay tick)
         end
       in
@@ -530,8 +527,8 @@ let launch_stream ?rx_capacity t ~sid ~src ~dst ~size ~deadline_abs ~start ~on_r
       probes_unanswered = 0;
       last_progress = start;
       last_tx = neg_infinity;
-      send_ev = None;
-      probe_ev = None;
+      send_ev = Sim.none;
+      probe_ev = Sim.none;
       closed = false;
       terminated = false;
       send_fn = noop;

@@ -1,12 +1,11 @@
 module Sim = Pdq_engine.Sim
-module Units = Pdq_engine.Units
 module Packet = Pdq_net.Packet
 
 type sender = {
   proto : t;
   flow : Context.flow;
   mutable rate : float;
-  mutable rtt : float;
+  rtt : float array; (* one cell: the smoothed RTT, rewritten per ACK unboxed *)
   mutable next_seq : int;
   mutable acked : int;
   mutable syn_acked : bool;
@@ -16,7 +15,7 @@ type sender = {
   mutable last_ack : float; (* last time any ACK arrived (liveness) *)
   mutable last_progress : float;
   mutable last_tx : float;
-  mutable send_ev : Sim.handle option;
+  mutable send_ev : Sim.handle; (* [Sim.none] when no departure is pending *)
   mutable closed : bool;
   (* Allocated once per sender so the pacing and watchdog loops
      reschedule without building a closure per event. *)
@@ -34,56 +33,66 @@ and ops = {
   min_rate : float;
   fwd_payload : sender -> Packet.kind -> Packet.payload;
   ack_payload : cum_ack:int -> echo_ts:float -> Packet.t -> Packet.payload;
-  rate_of_ack : sender -> Packet.t -> float option;
+  rate_of_ack : sender -> Packet.t -> float;
   quench : sender -> now:float -> bool;
 }
 
-and t = { ctx : Context.t; ops : ops; senders : (int, sender) Hashtbl.t }
+and t = {
+  ctx : Context.t;
+  clock : float array; (* [Context.clock ctx] *)
+  ops : ops;
+  senders : (int, sender) Hashtbl.t;
+}
 
-let install ~ctx ~ops = { ctx; ops; senders = Hashtbl.create 64 }
+let install ~ctx ~ops =
+  { ctx; clock = Context.clock ctx; ops; senders = Hashtbl.create 64 }
 
 let noop () = ()
+
+(* [Stdlib.max]/[min] at type float, kept unboxed: the polymorphic
+   versions box both arguments. *)
+let fmax (a : float) b = if a >= b then a else b
+let fmin (a : float) b = if a <= b then a else b
+
 let k_send = Sim.Kind.register "rate.send"
 let k_watchdog = Sim.Kind.register "rate.watchdog"
 let k_launch = Sim.Kind.register "rate.launch"
 
 let sender_flow s = s.flow
 let sender_rate s = s.rate
-let sender_rtt s = s.rtt
+let sender_rtt s = s.rtt.(0)
 let sender_remaining s = max 0 (s.flow.Context.spec.Context.size - s.acked)
 let sender_deadline s = s.flow.Context.deadline_abs
 let sender_now s = Context.now s.proto.ctx
 
 let now s = Context.now s.proto.ctx
 let size s = s.flow.Context.spec.Context.size
-let rto s = max (3. *. s.rtt) 1e-3
+let rto s = fmax (3. *. s.rtt.(0)) 1e-3
 let max_payload s = Packet.max_payload ~scheduling_header:s.proto.ops.extra_header
 
-let make_pkt s ~kind ?(payload_bytes = 0) ?(seq = 0) () =
+let make_pkt s ~kind ~payload_bytes ~seq =
   let spec = s.flow.Context.spec in
   Packet.make ~flow:s.flow.Context.id ~src:spec.Context.src ~dst:spec.Context.dst
     ~kind ~payload_bytes ~seq ~extra_header:s.proto.ops.extra_header
     ~payload:(s.proto.ops.fwd_payload s kind)
-    ~now:(now s) ()
+    ~now:(now s)
 
 let transmit s pkt =
   Context.transmit s.proto.ctx ~from:s.flow.Context.spec.Context.src pkt
 
 let send_syn s =
   s.last_syn <- now s;
-  transmit s (make_pkt s ~kind:Packet.Syn ())
+  transmit s (make_pkt s ~kind:Packet.Syn ~payload_bytes:0 ~seq:0)
 
-let send_term s = transmit s (make_pkt s ~kind:Packet.Term ())
+let send_term s = transmit s (make_pkt s ~kind:Packet.Term ~payload_bytes:0 ~seq:0)
 
-let cancel_opt s = function
-  | Some h ->
-      Sim.cancel (Context.sim s.proto.ctx) h;
-      None
-  | None -> None
+let cancel_send s =
+  Sim.cancel (Context.sim s.proto.ctx) s.send_ev;
+  s.send_ev <- Sim.none
 
 let close_sender s =
   s.closed <- true;
-  s.send_ev <- cancel_opt s s.send_ev
+  cancel_send s
 
 let finish_sender s =
   if not s.closed then begin
@@ -121,34 +130,34 @@ let abort s ~cause =
    any resulting overshoot within an RTT. *)
 let pacing_interval s ~wire_bytes =
   if s.rate <= 0. then infinity
-  else min (Units.tx_time ~bytes:wire_bytes ~rate:s.rate) (max (4. *. s.rtt) 2e-3)
+  else begin
+    let tx = float_of_int wire_bytes *. 8. /. s.rate (* Units.tx_time *) in
+    fmin tx (fmax (4. *. s.rtt.(0)) 2e-3)
+  end
 
 let send_data s () =
-  s.send_ev <- None;
+  s.send_ev <- Sim.none;
   if (not s.closed) && s.rate > 0. && s.next_seq < size s then begin
-    let payload = min (max_payload s) (size s - s.next_seq) in
-    let pkt = make_pkt s ~kind:Packet.Data ~payload_bytes:payload ~seq:s.next_seq () in
+    let payload = Int.min (max_payload s) (size s - s.next_seq) in
+    let pkt = make_pkt s ~kind:Packet.Data ~payload_bytes:payload ~seq:s.next_seq in
     transmit s pkt;
     s.next_seq <- s.next_seq + payload;
     s.last_tx <- now s;
     if s.next_seq < size s then begin
       let interval = pacing_interval s ~wire_bytes:pkt.Packet.wire_bytes in
       s.send_ev <-
-        Some
-          (Sim.schedule_k (Context.sim s.proto.ctx) k_send
-             ~delay:interval s.send_fn)
+        Sim.schedule_k (Context.sim s.proto.ctx) k_send ~delay:interval s.send_fn
     end
   end
 
 let ensure_sending s =
-  if (not s.closed) && s.send_ev = None && s.rate > 0. && s.next_seq < size s then begin
+  if (not s.closed) && s.send_ev == Sim.none && s.rate > 0. && s.next_seq < size s
+  then begin
     let interval =
       pacing_interval s ~wire_bytes:(max_payload s + Packet.header_bytes)
     in
-    let delay = max 0. (s.last_tx +. interval -. now s) in
-    s.send_ev <-
-      Some
-        (Sim.schedule_k (Context.sim s.proto.ctx) k_send ~delay s.send_fn)
+    let delay = fmax 0. (s.last_tx +. interval -. s.proto.clock.(0)) in
+    s.send_ev <- Sim.schedule_k (Context.sim s.proto.ctx) k_send ~delay s.send_fn
   end
 
 let watchdog s () =
@@ -183,11 +192,11 @@ let watchdog s () =
       if not s.closed then begin
         (* Per-RTT rate-request probe when data is not flowing fast
            enough to carry requests itself. *)
-        if s.syn_acked && s.acked < size s && t -. s.last_tx > s.rtt then
-          transmit s (make_pkt s ~kind:Packet.Probe ());
+        if s.syn_acked && s.acked < size s && t -. s.last_tx > s.rtt.(0) then
+          transmit s (make_pkt s ~kind:Packet.Probe ~payload_bytes:0 ~seq:0);
         ignore
           (Sim.schedule_k (Context.sim s.proto.ctx) k_watchdog
-             ~delay:(max (min s.rtt 5e-4) 1e-4)
+             ~delay:(fmax (fmin s.rtt.(0) 5e-4) 1e-4)
              s.watchdog_fn)
       end
     end
@@ -204,28 +213,28 @@ let on_ack s (pkt : Packet.t) =
     end;
     let t = now s in
     s.last_ack <- t;
-    (match Payloads.ack_of pkt.Packet.payload with
-    | Some ack ->
-        let sample = t -. ack.Payloads.echo_ts in
-        if sample > 0. then s.rtt <- (0.875 *. s.rtt) +. (0.125 *. sample);
-        if ack.Payloads.cum_ack > s.acked then begin
-          s.acked <- ack.Payloads.cum_ack;
-          s.last_progress <- t
-        end
-    | None -> ());
-    (match s.proto.ops.rate_of_ack s pkt with
-    | Some r ->
-        let fresh = max s.proto.ops.min_rate r in
-        (let trace = Context.trace s.proto.ctx in
-         if Pdq_telemetry.Trace.active trace && fresh <> s.rate then
-           Pdq_telemetry.Trace.(
-             emit trace
-               (Flow_rate_set { flow = s.flow.Context.id; rate = fresh })));
-        s.rate <- fresh;
-        (* A pending departure was paced at the old rate; reschedule so
-           a rate increase takes effect immediately. *)
-        s.send_ev <- cancel_opt s s.send_ev
-    | None -> ());
+    let ack = Payloads.ack_of pkt.Packet.payload in
+    if ack != Payloads.no_ack then begin
+      let sample = t -. ack.Payloads.echo_ts in
+      if sample > 0. then s.rtt.(0) <- (0.875 *. s.rtt.(0)) +. (0.125 *. sample);
+      if ack.Payloads.cum_ack > s.acked then begin
+        s.acked <- ack.Payloads.cum_ack;
+        s.last_progress <- t
+      end
+    end;
+    let r = s.proto.ops.rate_of_ack s pkt in
+    if r >= 0. then begin
+      let fresh = max s.proto.ops.min_rate r in
+      (let trace = Context.trace s.proto.ctx in
+       if Pdq_telemetry.Trace.active trace && fresh <> s.rate then
+         Pdq_telemetry.Trace.(
+           emit trace
+             (Flow_rate_set { flow = s.flow.Context.id; rate = fresh })));
+      s.rate <- fresh;
+      (* A pending departure was paced at the old rate; reschedule so
+         a rate increase takes effect immediately. *)
+      cancel_send s
+    end;
     if s.acked >= size s then finish_sender s
     else if s.proto.ops.quench s ~now:t then quench s
     else ensure_sending s
@@ -236,11 +245,12 @@ let receiver_handle t s (pkt : Packet.t) =
     let spec = s.flow.Context.spec in
     let ack =
       Packet.make ~flow:s.flow.Context.id ~src:spec.Context.dst
-        ~dst:spec.Context.src ~kind ~extra_header:t.ops.extra_header
+        ~dst:spec.Context.src ~kind ~payload_bytes:0 ~seq:0
+        ~extra_header:t.ops.extra_header
         ~payload:
           (t.ops.ack_payload ~cum_ack:(Rx_buffer.cumulative_ack s.rx)
              ~echo_ts:pkt.Packet.sent_at pkt)
-        ~now:(Context.now t.ctx) ()
+        ~now:(Context.now t.ctx)
     in
     Context.transmit t.ctx ~from:spec.Context.dst ack
   in
@@ -258,9 +268,9 @@ let receiver_handle t s (pkt : Packet.t) =
   | Packet.Term | Packet.Syn_ack | Packet.Ack -> ()
 
 let deliver t ~node (pkt : Packet.t) =
-  match Hashtbl.find_opt t.senders pkt.Packet.flow with
-  | None -> ()
-  | Some s -> (
+  match Hashtbl.find t.senders pkt.Packet.flow with
+  | exception Not_found -> ()
+  | s -> (
       match pkt.Packet.kind with
       | Packet.Syn | Packet.Data | Packet.Probe | Packet.Term ->
           if node = s.flow.Context.spec.Context.dst then receiver_handle t s pkt
@@ -273,7 +283,7 @@ let start_flow t (flow : Context.flow) =
       proto = t;
       flow;
       rate = 0.;
-      rtt = Context.init_rtt t.ctx;
+      rtt = [| Context.init_rtt t.ctx |];
       next_seq = 0;
       acked = 0;
       syn_acked = false;
@@ -283,7 +293,7 @@ let start_flow t (flow : Context.flow) =
       last_ack = flow.Context.spec.Context.start;
       last_progress = flow.Context.spec.Context.start;
       last_tx = neg_infinity;
-      send_ev = None;
+      send_ev = Sim.none;
       closed = false;
       send_fn = noop;
       watchdog_fn = noop;

@@ -22,8 +22,9 @@ type ops = {
     cum_ack:int -> echo_ts:float -> Pdq_net.Packet.t -> Pdq_net.Packet.payload;
       (** Receiver-side: payload of the ACK echoing the given forward
           packet. *)
-  rate_of_ack : sender -> Pdq_net.Packet.t -> float option;
-      (** Granted rate extracted from an ACK payload, if any. *)
+  rate_of_ack : sender -> Pdq_net.Packet.t -> float;
+      (** Granted rate extracted from an ACK payload; negative when the
+          payload carries none. *)
   quench : sender -> now:float -> bool;
       (** True when the sender should terminate the flow (D3
           quenching); checked on every ACK and watchdog tick. *)

@@ -9,43 +9,60 @@ let k_tick = Sim.Kind.register "rcp.tick"
    hands out a minimum of one packet per RTT. *)
 let min_rate = 1e5
 
+(* [Stdlib.max]/[min] at type float, kept unboxed: the polymorphic
+   versions box both arguments. *)
+let fmax (a : float) b = if a >= b then a else b
+let fmin (a : float) b = if a <= b then a else b
+
+(* The estimators are rewritten per packet, so they live in a flat
+   all-float record: a float field of a mixed record boxes on every
+   write. *)
+type est = { mutable fair : float; mutable rtt_avg : float }
+
 type port = {
   link : Link.t;
-  flows : (int, float) Hashtbl.t; (* flow id -> last seen *)
-  mutable fair : float;
-  mutable rtt_avg : float;
+  flows : (int, float array) Hashtbl.t;
+      (* flow id -> one cell holding its last-seen time *)
+  est : est;
+  mutable stale : int list; (* scratch of [purge] *)
+  mutable collect_stale : int -> float array -> unit;
+      (* allocated once per port: [purge]'s scan *)
 }
 
-type t = { ctx : Context.t; ports : port array; inner : Rate_flow.t }
+type t = {
+  ctx : Context.t;
+  clock : float array; (* [Context.clock ctx] *)
+  ports : port array;
+  inner : Rate_flow.t;
+}
 
-let recompute_fair p ~now:_ =
-  let n = max 1 (Hashtbl.length p.flows) in
+let recompute_fair p =
+  let n = Int.max 1 (Hashtbl.length p.flows) in
   let q_bits = Pdq_engine.Units.bytes_to_bits (Link.queue_bytes p.link) in
-  let c_eff = Link.rate p.link -. (q_bits /. (2. *. max p.rtt_avg 1e-9)) in
-  p.fair <- max min_rate (min (Link.rate p.link) (c_eff /. float_of_int n))
+  let c_eff = Link.rate p.link -. (q_bits /. (2. *. fmax p.est.rtt_avg 1e-9)) in
+  p.est.fair <- fmax min_rate (fmin (Link.rate p.link) (c_eff /. float_of_int n))
 
-let fair_rate t ~link = t.ports.(link).fair
+let fair_rate t ~link = t.ports.(link).est.fair
 let flow_count t ~link = Hashtbl.length t.ports.(link).flows
 
 let on_forward t ~link (pkt : Packet.t) =
   match pkt.Packet.payload with
   | Payloads.Rcp_ctrl (ctrl, _) -> (
       let p = t.ports.(link) in
-      let now = Context.now t.ctx in
       match pkt.Packet.kind with
       | Packet.Term ->
           Hashtbl.remove p.flows pkt.Packet.flow;
-          recompute_fair p ~now
+          recompute_fair p
       | Packet.Syn | Packet.Data | Packet.Probe ->
-          if not (Hashtbl.mem p.flows pkt.Packet.flow) then begin
-            Hashtbl.replace p.flows pkt.Packet.flow now;
-            recompute_fair p ~now
-          end
-          else Hashtbl.replace p.flows pkt.Packet.flow now;
+          (match Hashtbl.find p.flows pkt.Packet.flow with
+          | seen -> seen.(0) <- t.clock.(0)
+          | exception Not_found ->
+              Hashtbl.replace p.flows pkt.Packet.flow [| t.clock.(0) |];
+              recompute_fair p);
           if ctrl.Payloads.rcp_rtt > 0. then
-            p.rtt_avg <-
-              (0.875 *. p.rtt_avg) +. (0.125 *. ctrl.Payloads.rcp_rtt);
-          ctrl.Payloads.rcp_rate <- min ctrl.Payloads.rcp_rate p.fair
+            p.est.rtt_avg <-
+              (0.875 *. p.est.rtt_avg) +. (0.125 *. ctrl.Payloads.rcp_rtt);
+          ctrl.Payloads.rcp_rate <- fmin ctrl.Payloads.rcp_rate p.est.fair
       | Packet.Syn_ack | Packet.Ack -> ())
   | _ -> ()
 
@@ -74,38 +91,42 @@ let ops ctx : Rate_flow.ops =
     rate_of_ack =
       (fun _s pkt ->
         match pkt.Packet.payload with
-        | Payloads.Rcp_ctrl (ctrl, _) -> Some ctrl.Payloads.rcp_rate
-        | _ -> None);
+        | Payloads.Rcp_ctrl (ctrl, _) -> ctrl.Payloads.rcp_rate
+        | _ -> -1.);
     quench = (fun _ ~now:_ -> false);
   }
 
 (* Purge flows whose sender vanished without a TERM (packet loss): a
    generous horizon so slow flows are never evicted spuriously. *)
-let purge p ~now =
-  let stale =
-    Hashtbl.fold
-      (fun id seen acc -> if now -. seen > 0.5 then id :: acc else acc)
-      p.flows []
-  in
-  if stale <> [] then begin
-    List.iter (Hashtbl.remove p.flows) stale;
-    recompute_fair p ~now
+let purge p =
+  p.stale <- [];
+  Hashtbl.iter p.collect_stale p.flows;
+  if p.stale <> [] then begin
+    List.iter (Hashtbl.remove p.flows) p.stale;
+    recompute_fair p
   end
 
 let install ~ctx ~until =
   let topo = Context.topo ctx in
+  let clock = Context.clock ctx in
   let ports =
     Array.init (Topology.link_count topo) (fun i ->
         let link = Topology.link topo i in
-        {
-          link;
-          flows = Hashtbl.create 16;
-          fair = Link.rate link;
-          rtt_avg = Context.init_rtt ctx;
-        })
+        let p =
+          {
+            link;
+            flows = Hashtbl.create 16;
+            est = { fair = Link.rate link; rtt_avg = Context.init_rtt ctx };
+            stale = [];
+            collect_stale = (fun _ _ -> ());
+          }
+        in
+        p.collect_stale <-
+          (fun id seen -> if clock.(0) -. seen.(0) > 0.5 then p.stale <- id :: p.stale);
+        p)
   in
   let inner = Rate_flow.install ~ctx ~ops:(ops ctx) in
-  let t = { ctx; ports; inner } in
+  let t = { ctx; clock; ports; inner } in
   (* Crash-reboot: the per-port flow table is soft state rebuilt from
      the next packets through; reset the estimators to their initial
      values. *)
@@ -114,8 +135,8 @@ let install ~ctx ~until =
         (fun p ->
           if Link.src p.link = node then begin
             Hashtbl.reset p.flows;
-            p.fair <- Link.rate p.link;
-            p.rtt_avg <- Context.init_rtt ctx
+            p.est.fair <- Link.rate p.link;
+            p.est.rtt_avg <- Context.init_rtt ctx
           end)
         ports);
   Context.set_hooks ctx
@@ -126,11 +147,10 @@ let install ~ctx ~until =
   Array.iter
     (fun p ->
       let rec tick () =
-        if Sim.now sim <= until then begin
-          let now = Sim.now sim in
-          purge p ~now;
-          recompute_fair p ~now;
-          ignore (Sim.schedule_k sim k_tick ~delay:(max p.rtt_avg 5e-5) tick)
+        if clock.(0) <= until then begin
+          purge p;
+          recompute_fair p;
+          ignore (Sim.schedule_k sim k_tick ~delay:(fmax p.est.rtt_avg 5e-5) tick)
         end
       in
       ignore (Sim.schedule_k sim k_tick ~delay:0. tick))

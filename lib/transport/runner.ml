@@ -261,7 +261,7 @@ let execute ?(options = default_options) ~topo protocol specs =
           (fun l ->
             let id = Link.id l in
             Metrics.sample m ~time ~name:(Metrics.Name.link_util id)
-              ~value:(Link.utilization l ~since:time ~now:time);
+              ~value:(Link.utilization l ~now:time);
             Metrics.sample m ~time
               ~name:(Metrics.Name.link_queue_bytes id)
               ~value:(float_of_int (Link.queue_bytes l));

@@ -4,15 +4,21 @@
     byte intervals so duplicates are not double-counted and arbitrary
     segment boundaries are exact (M-PDQ load shifts create unaligned
     ones), and exposes the cumulative in-order byte count used for
-    ACKs (go-back-N / TCP semantics). *)
+    ACKs (go-back-N / TCP semantics).
+
+    The intervals live in two growable [int] arrays. An arrival at or
+    past the last interval costs O(1); filling a hole costs a binary
+    search plus a blit. Once the arrays have grown to the flow's peak
+    hole count, {!on_data} allocates nothing. *)
 
 type t
 
 val create : ?capacity:int -> size:int -> segment:int -> unit -> t
-(** [size] is the flow size in bytes; [segment] the full data-packet
-    payload size (the last segment may be shorter). [capacity] (default
-    [size]) reserves bitmap room for later growth via {!set_size} —
-    M-PDQ subflows can be assigned up to the whole parent flow. *)
+(** [size] is the flow size in bytes. [capacity] (default [size]) is
+    the largest size {!set_size} may later grow to — M-PDQ subflows can
+    be assigned up to the whole parent flow. [segment] is the full
+    data-packet payload size; it is only validated (must be positive),
+    since arrivals are tracked at byte granularity. *)
 
 val set_size : t -> int -> unit
 (** Change the expected size (within [capacity], not below the bytes

@@ -4,27 +4,40 @@ module Packet = Pdq_net.Packet
 let mss = Packet.max_payload ~scheduling_header:0
 
 let noop () = ()
+
+(* [Stdlib.max]/[min] at type float, kept unboxed: the polymorphic
+   versions box both arguments. *)
+let fmax (a : float) b = if a >= b then a else b
+let fmin (a : float) b = if a <= b then a else b
+
 let k_timer = Pdq_engine.Sim.Kind.register "tcp.timer"
 let k_launch = Pdq_engine.Sim.Kind.register "tcp.launch"
+
+(* The sender's float state lives in a flat all-float record: a float
+   field of a mixed record would box a fresh float on every write, and
+   these are rewritten on every ACK. *)
+type cc = {
+  mutable cwnd : float;     (* bytes *)
+  mutable ssthresh : float; (* bytes *)
+  mutable srtt : float;
+  mutable rttvar : float;
+  mutable rto : float;
+  mutable backoff : float;
+  mutable last_syn : float;
+}
 
 type sender = {
   proto : t;
   flow : Context.flow;
-  mutable cwnd : float;     (* bytes *)
-  mutable ssthresh : float; (* bytes *)
+  cc : cc;
   mutable next_seq : int;
   mutable acked : int;
   mutable dup_acks : int;
   mutable in_recovery : bool;
   mutable recover_point : int;
-  mutable srtt : float;
-  mutable rttvar : float;
-  mutable rto : float;
-  mutable backoff : float;
   mutable retries : int; (* consecutive RTOs with no forward progress *)
   mutable syn_acked : bool;
-  mutable last_syn : float;
-  mutable timer : Sim.handle option;
+  mutable timer : Sim.handle; (* [Sim.none] when unarmed *)
   mutable closed : bool;
   (* Allocated once per sender: the RTO timer re-arms on every packet
      without building a closure per event. *)
@@ -34,54 +47,60 @@ type sender = {
 
 and t = {
   ctx : Context.t;
+  clock : float array; (* [Context.clock ctx] *)
   rto_min : float;
   senders : (int, sender) Hashtbl.t;
 }
 
 let sender_cwnd t ~flow =
-  match Hashtbl.find_opt t.senders flow with
-  | Some s -> s.cwnd
-  | None -> 0.
+  match Hashtbl.find t.senders flow with
+  | s -> s.cc.cwnd
+  | exception Not_found -> 0.
 
-let now s = Context.now s.proto.ctx
+let now s = s.proto.clock.(0)
 let size s = s.flow.Context.spec.Context.size
 
-let make_pkt s ~kind ?(payload_bytes = 0) ?(seq = 0) () =
+let make_pkt s ~kind ~payload_bytes ~seq =
   let spec = s.flow.Context.spec in
+  let now = Context.now s.proto.ctx in
   Packet.make ~flow:s.flow.Context.id ~src:spec.Context.src ~dst:spec.Context.dst
-    ~kind ~payload_bytes ~seq
-    ~payload:(Payloads.Tcp_ctrl { Payloads.cum_ack = 0; echo_ts = now s })
-    ~now:(now s) ()
+    ~kind ~payload_bytes ~seq ~extra_header:0
+    ~payload:(Payloads.Tcp_ctrl { Payloads.cum_ack = 0; echo_ts = now })
+    ~now
 
 let transmit s pkt =
   Context.transmit s.proto.ctx ~from:s.flow.Context.spec.Context.src pkt
 
-let cancel_opt s = function
-  | Some h ->
-      Sim.cancel (Context.sim s.proto.ctx) h;
-      None
-  | None -> None
+let cancel_timer s =
+  Sim.cancel (Context.sim s.proto.ctx) s.timer;
+  s.timer <- Sim.none
 
 let send_syn s =
-  s.last_syn <- now s;
-  transmit s (make_pkt s ~kind:Packet.Syn ())
+  s.cc.last_syn <- now s;
+  transmit s (make_pkt s ~kind:Packet.Syn ~payload_bytes:0 ~seq:0)
 
 let send_segment s seq =
-  let payload = min mss (size s - seq) in
+  let payload = Int.min mss (size s - seq) in
   if payload > 0 then
-    transmit s (make_pkt s ~kind:Packet.Data ~payload_bytes:payload ~seq ())
+    transmit s (make_pkt s ~kind:Packet.Data ~payload_bytes:payload ~seq)
 
 let flight s = s.next_seq - s.acked
 
-let emit_event s ev =
+(* Trace events are built only once the bus is known to be active, so
+   an untraced run allocates none. *)
+let emit_retransmit s kind =
   let trace = Context.trace s.proto.ctx in
-  if Pdq_telemetry.Trace.active trace then Pdq_telemetry.Trace.emit trace ev
+  if Pdq_telemetry.Trace.active trace then
+    Pdq_telemetry.Trace.emit trace
+      (Pdq_telemetry.Trace.Flow_retransmit { flow = s.flow.Context.id; kind })
 
 let mark_established s =
   if not s.syn_acked then begin
     s.syn_acked <- true;
-    emit_event s
-      (Pdq_telemetry.Trace.Flow_established { flow = s.flow.Context.id })
+    let trace = Context.trace s.proto.ctx in
+    if Pdq_telemetry.Trace.active trace then
+      Pdq_telemetry.Trace.emit trace
+        (Pdq_telemetry.Trace.Flow_established { flow = s.flow.Context.id })
   end
 
 (* Give up after this many consecutive RTOs with zero forward progress
@@ -92,32 +111,30 @@ let max_retries = 10
 let abort s ~cause =
   if not s.closed then begin
     s.closed <- true;
-    s.timer <- cancel_opt s s.timer;
+    cancel_timer s;
     Context.abort s.proto.ctx s.flow ~cause
   end
 
 let rec arm_timer s =
-  s.timer <- cancel_opt s s.timer;
+  cancel_timer s;
   if not s.closed then begin
-    let delay = s.rto *. s.backoff in
+    let delay = s.cc.rto *. s.cc.backoff in
     (* Jitter the backed-off retry timer so senders that lost the same
        link do not retransmit in lockstep; the initial timer stays
        deterministic (no RNG draw on the fault-free path). *)
     let delay =
-      if s.backoff > 1. then
+      if s.cc.backoff > 1. then
         delay *. (0.75 +. (0.5 *. Pdq_engine.Rng.float (Context.rng s.proto.ctx)))
       else delay
     in
-    s.timer <-
-      Some
-        (Sim.schedule_k (Context.sim s.proto.ctx) k_timer ~delay s.timer_fn)
+    s.timer <- Sim.schedule_k (Context.sim s.proto.ctx) k_timer ~delay s.timer_fn
   end
 
 (* Retransmission timeout: multiplicative backoff, window collapse,
    go-back-N from the cumulative ack point. Bounded: a sender whose
    path stays dead aborts instead of backing off forever. *)
 and on_timeout s =
-  s.timer <- None;
+  s.timer <- Sim.none;
   if not s.closed then begin
     s.retries <- s.retries + 1;
     if s.retries > max_retries then
@@ -125,18 +142,15 @@ and on_timeout s =
     else begin
       if not s.syn_acked then send_syn s
       else if s.acked < size s then begin
-        s.ssthresh <- max (float_of_int (flight s) /. 2.) (2. *. float_of_int mss);
-        s.cwnd <- float_of_int mss;
+        s.cc.ssthresh <- fmax (float_of_int (flight s) /. 2.) (2. *. float_of_int mss);
+        s.cc.cwnd <- float_of_int mss;
         s.dup_acks <- 0;
         s.in_recovery <- false;
-        if s.next_seq > s.acked then
-          emit_event s
-            (Pdq_telemetry.Trace.Flow_retransmit
-               { flow = s.flow.Context.id; kind = "timeout" });
+        if s.next_seq > s.acked then emit_retransmit s "timeout";
         s.next_seq <- s.acked;
         try_send s
       end;
-      s.backoff <- min (s.backoff *. 2.) 64.;
+      s.cc.backoff <- fmin (s.cc.backoff *. 2.) 64.;
       arm_timer s
     end
   end
@@ -145,37 +159,37 @@ and try_send s =
   if (not s.closed) && s.syn_acked then begin
     let continue = ref true in
     while !continue do
-      if s.next_seq < size s && float_of_int (flight s) < s.cwnd then begin
+      if s.next_seq < size s && float_of_int (flight s) < s.cc.cwnd then begin
         send_segment s s.next_seq;
-        s.next_seq <- s.next_seq + min mss (size s - s.next_seq)
+        s.next_seq <- s.next_seq + Int.min mss (size s - s.next_seq)
       end
       else continue := false
     done
   end
 
 let update_rtt s sample =
-  if s.srtt = 0. then begin
-    s.srtt <- sample;
-    s.rttvar <- sample /. 2.
+  let cc = s.cc in
+  if cc.srtt = 0. then begin
+    cc.srtt <- sample;
+    cc.rttvar <- sample /. 2.
   end
   else begin
-    s.rttvar <- (0.75 *. s.rttvar) +. (0.25 *. abs_float (s.srtt -. sample));
-    s.srtt <- (0.875 *. s.srtt) +. (0.125 *. sample)
+    cc.rttvar <- (0.75 *. cc.rttvar) +. (0.25 *. abs_float (cc.srtt -. sample));
+    cc.srtt <- (0.875 *. cc.srtt) +. (0.125 *. sample)
   end;
-  s.rto <- max s.proto.rto_min (s.srtt +. (4. *. s.rttvar))
+  cc.rto <- fmax s.proto.rto_min (cc.srtt +. (4. *. cc.rttvar))
 
 let finish s =
   if not s.closed then begin
     s.closed <- true;
-    s.timer <- cancel_opt s s.timer
+    cancel_timer s
   end
 
 let on_ack s (pkt : Packet.t) =
   if not s.closed then begin
     mark_established s;
-    match Payloads.ack_of pkt.Packet.payload with
-    | None -> ()
-    | Some ack ->
+    let ack = Payloads.ack_of pkt.Packet.payload in
+    if ack != Payloads.no_ack then begin
         let sample = now s -. ack.Payloads.echo_ts in
         if sample > 0. then update_rtt s sample;
         let cum = ack.Payloads.cum_ack in
@@ -183,21 +197,21 @@ let on_ack s (pkt : Packet.t) =
           (* New data acknowledged. *)
           let acked_bytes = cum - s.acked in
           s.acked <- cum;
-          s.backoff <- 1.;
+          s.cc.backoff <- 1.;
           s.retries <- 0;
           s.dup_acks <- 0;
           if s.in_recovery then begin
             if s.acked >= s.recover_point then begin
               s.in_recovery <- false;
-              s.cwnd <- s.ssthresh
+              s.cc.cwnd <- s.cc.ssthresh
             end
           end
-          else if s.cwnd < s.ssthresh then
+          else if s.cc.cwnd < s.cc.ssthresh then
             (* Slow start: one MSS per MSS acknowledged. *)
-            s.cwnd <- s.cwnd +. float_of_int (min acked_bytes mss)
+            s.cc.cwnd <- s.cc.cwnd +. float_of_int (Int.min acked_bytes mss)
           else
             (* Congestion avoidance. *)
-            s.cwnd <- s.cwnd +. (float_of_int (mss * mss) /. s.cwnd);
+            s.cc.cwnd <- s.cc.cwnd +. (float_of_int (mss * mss) /. s.cc.cwnd);
           if s.next_seq < s.acked then s.next_seq <- s.acked;
           if s.acked >= size s then finish s
           else begin
@@ -209,28 +223,27 @@ let on_ack s (pkt : Packet.t) =
           (* Duplicate ACK. *)
           s.dup_acks <- s.dup_acks + 1;
           if s.dup_acks = 3 && not s.in_recovery then begin
-            s.ssthresh <-
-              max (float_of_int (flight s) /. 2.) (2. *. float_of_int mss);
-            s.cwnd <- s.ssthresh +. (3. *. float_of_int mss);
+            s.cc.ssthresh <-
+              fmax (float_of_int (flight s) /. 2.) (2. *. float_of_int mss);
+            s.cc.cwnd <- s.cc.ssthresh +. (3. *. float_of_int mss);
             s.in_recovery <- true;
             s.recover_point <- s.next_seq;
-            emit_event s
-              (Pdq_telemetry.Trace.Flow_retransmit
-                 { flow = s.flow.Context.id; kind = "fast" });
+            emit_retransmit s "fast";
             send_segment s s.acked (* fast retransmit *)
           end
           else if s.in_recovery then begin
-            s.cwnd <- s.cwnd +. float_of_int mss;
+            s.cc.cwnd <- s.cc.cwnd +. float_of_int mss;
             try_send s
           end
         end
+    end
   end
 
 let on_syn_ack s =
   if (not s.syn_acked) && not s.closed then begin
     mark_established s;
-    s.cwnd <- 2. *. float_of_int mss;
-    s.backoff <- 1.;
+    s.cc.cwnd <- 2. *. float_of_int mss;
+    s.cc.backoff <- 1.;
     s.retries <- 0;
     arm_timer s;
     try_send s
@@ -241,14 +254,14 @@ let receiver_handle t s (pkt : Packet.t) =
     let spec = s.flow.Context.spec in
     let ack =
       Packet.make ~flow:s.flow.Context.id ~src:spec.Context.dst
-        ~dst:spec.Context.src ~kind
+        ~dst:spec.Context.src ~kind ~payload_bytes:0 ~seq:0 ~extra_header:0
         ~payload:
           (Payloads.Tcp_ctrl
              {
                Payloads.cum_ack = Rx_buffer.cumulative_ack s.rx;
                echo_ts = pkt.Packet.sent_at;
              })
-        ~now:(Context.now t.ctx) ()
+        ~now:(Context.now t.ctx)
     in
     Context.transmit t.ctx ~from:spec.Context.dst ack
   in
@@ -265,9 +278,9 @@ let receiver_handle t s (pkt : Packet.t) =
   | Packet.Probe | Packet.Term | Packet.Syn_ack | Packet.Ack -> ()
 
 let deliver t ~node (pkt : Packet.t) =
-  match Hashtbl.find_opt t.senders pkt.Packet.flow with
-  | None -> ()
-  | Some s -> (
+  match Hashtbl.find t.senders pkt.Packet.flow with
+  | exception Not_found -> ()
+  | s -> (
       match pkt.Packet.kind with
       | Packet.Syn | Packet.Data | Packet.Probe | Packet.Term ->
           if node = s.flow.Context.spec.Context.dst then receiver_handle t s pkt
@@ -277,7 +290,7 @@ let deliver t ~node (pkt : Packet.t) =
           if node = s.flow.Context.spec.Context.src then on_ack s pkt)
 
 let install ?(rto_min = 1e-3) ~ctx () =
-  let t = { ctx; rto_min; senders = Hashtbl.create 64 } in
+  let t = { ctx; clock = Context.clock ctx; rto_min; senders = Hashtbl.create 64 } in
   Context.set_hooks ctx
     ~on_forward:(fun ~link:_ _ -> ())
     ~on_reverse:(fun ~fwd_link:_ _ -> ())
@@ -289,21 +302,24 @@ let start_flow t (flow : Context.flow) =
     {
       proto = t;
       flow;
-      cwnd = float_of_int (2 * mss);
-      ssthresh = infinity;
+      cc =
+        {
+          cwnd = float_of_int (2 * mss);
+          ssthresh = infinity;
+          srtt = 0.;
+          rttvar = 0.;
+          rto = fmax t.rto_min (3. *. Context.init_rtt t.ctx);
+          backoff = 1.;
+          last_syn = 0.;
+        };
       next_seq = 0;
       acked = 0;
       dup_acks = 0;
       in_recovery = false;
       recover_point = 0;
-      srtt = 0.;
-      rttvar = 0.;
-      rto = max t.rto_min (3. *. Context.init_rtt t.ctx);
-      backoff = 1.;
       retries = 0;
       syn_acked = false;
-      last_syn = 0.;
-      timer = None;
+      timer = Sim.none;
       closed = false;
       timer_fn = noop;
       rx = Rx_buffer.create ~size:flow.Context.spec.Context.size ~segment:mss ();

@@ -94,23 +94,16 @@ let test_flow_list_sorted_insert () =
   ignore (Flow_list.insert l (state ~id:3 ~ttx:2. ()));
   Alcotest.(check bool) "sorted" true (Flow_list.is_sorted l);
   Alcotest.(check int) "most critical first" 2 (Flow_list.get l 0).Flow_state.flow_id;
-  Alcotest.(check int) "least critical last" 1
-    (match Flow_list.least_critical l with
-    | Some s -> s.Flow_state.flow_id
-    | None -> -1)
+  Alcotest.(check int) "least critical last" 1 (Flow_list.get l 2).Flow_state.flow_id
 
 let test_flow_list_find_remove () =
   let l = Flow_list.create () in
   ignore (Flow_list.insert l (state ~id:1 ~ttx:3. ()));
   ignore (Flow_list.insert l (state ~id:2 ~ttx:1. ()));
-  (match Flow_list.find l 1 with
-  | Some (i, s) ->
-      Alcotest.(check int) "index" 1 i;
-      Alcotest.(check int) "id" 1 s.Flow_state.flow_id
-  | None -> Alcotest.fail "find");
-  (match Flow_list.remove l 1 with
-  | Some s -> Alcotest.(check int) "removed" 1 s.Flow_state.flow_id
-  | None -> Alcotest.fail "remove");
+  let i = Flow_list.index_of l 1 in
+  Alcotest.(check int) "index" 1 i;
+  Alcotest.(check int) "id" 1 (Flow_list.get l i).Flow_state.flow_id;
+  Alcotest.(check bool) "removed" true (Flow_list.remove l 1);
   Alcotest.(check int) "length" 1 (Flow_list.length l);
   Alcotest.(check bool) "gone" false (Flow_list.mem l 1)
 
@@ -121,7 +114,7 @@ let test_flow_list_reposition () =
   ignore (Flow_list.insert l s2);
   (* Flow 1 drains more slowly than expected; now less critical. *)
   s1.Flow_state.expected_tx_time <- 5.;
-  ignore (Flow_list.reposition l 1);
+  ignore (Flow_list.reposition l (Flow_list.index_of l 1));
   Alcotest.(check bool) "sorted after reposition" true (Flow_list.is_sorted l);
   Alcotest.(check int) "flow 2 now first" 2 (Flow_list.get l 0).Flow_state.flow_id
 
@@ -142,11 +135,10 @@ let test_flow_list_empty_probes () =
   Alcotest.(check int) "length" 0 (Flow_list.length l);
   Alcotest.(check bool) "is_empty" true (Flow_list.is_empty l);
   Alcotest.(check bool) "sorted" true (Flow_list.is_sorted l);
-  Alcotest.(check bool) "least_critical" true (Flow_list.least_critical l = None);
-  Alcotest.(check bool) "find" true (Flow_list.find l 0 = None);
-  Alcotest.(check bool) "remove" true (Flow_list.remove l 0 = None);
-  Alcotest.(check bool) "remove_least_critical" true
-    (Flow_list.remove_least_critical l = None);
+  Alcotest.(check int) "index_of" (-1) (Flow_list.index_of l 0);
+  Alcotest.(check bool) "remove" false (Flow_list.remove l 0);
+  Flow_list.remove_least_critical l;
+  Alcotest.(check int) "remove_least_critical" 0 (Flow_list.length l);
   Alcotest.(check bool) "mem" false (Flow_list.mem l 0);
   Alcotest.(check int) "sending_count" 0 (Flow_list.sending_count l);
   if not (feq 0. (Flow_list.total_rate l)) then Alcotest.fail "total_rate";
@@ -187,7 +179,7 @@ let test_port_pauses_second_flow () =
   let h1 = mk_header ~ttx:1e-3 () in
   Switch_port.process_forward port h1 ~flow_id:1 ~now:0.;
   (* ACK confirms acceptance so flow 1 holds the bandwidth (R_1 > 0). *)
-  Switch_port.process_reverse port h1 ~flow_id:1 ~now:1e-4;
+  Switch_port.process_reverse port h1 ~flow_id:1;
   (* A longer flow must be paused: all bandwidth is taken and it is not
      nearly-completed. *)
   let h2 = mk_header ~ttx:10. () in
@@ -200,12 +192,12 @@ let test_port_preemption () =
   (* A long flow is accepted and sending... *)
   let h1 = mk_header ~ttx:10. () in
   Switch_port.process_forward port h1 ~flow_id:1 ~now:0.;
-  Switch_port.process_reverse port h1 ~flow_id:1 ~now:1e-4;
+  Switch_port.process_reverse port h1 ~flow_id:1;
   (* ...then a more critical (much shorter) flow arrives: it preempts. *)
   let h2 = mk_header ~ttx:0.5 () in
   Switch_port.process_forward port h2 ~flow_id:2 ~now:1.;
   Alcotest.(check bool) "short flow accepted" true (h2.Header.pause_by = None);
-  Switch_port.process_reverse port h2 ~flow_id:2 ~now:1.0001;
+  Switch_port.process_reverse port h2 ~flow_id:2;
   (* The long flow's next packet gets paused. *)
   let h1' = mk_header ~ttx:10. () in
   Switch_port.process_forward port h1' ~flow_id:1 ~now:1.001;
@@ -215,7 +207,7 @@ let test_port_edf_preempts_sjf () =
   let port = mk_port () in
   let h1 = mk_header ~ttx:0.001 () in
   Switch_port.process_forward port h1 ~flow_id:1 ~now:0.;
-  Switch_port.process_reverse port h1 ~flow_id:1 ~now:1e-4;
+  Switch_port.process_reverse port h1 ~flow_id:1;
   (* Deadline flow outranks the shorter no-deadline flow. *)
   let h2 = mk_header ~deadline:1. ~ttx:0.1 () in
   Switch_port.process_forward port h2 ~flow_id:2 ~now:0.001;
@@ -233,19 +225,20 @@ let test_port_reverse_commits_rate () =
   let port = mk_port () in
   let h = mk_header () in
   Switch_port.process_forward port h ~flow_id:1 ~now:0.;
-  Switch_port.process_reverse port h ~flow_id:1 ~now:1e-4;
-  match Flow_list.find (Switch_port.flow_list port) 1 with
-  | Some (_, s) ->
-      Alcotest.(check bool) "rate committed" true (s.Flow_state.rate > 0.);
-      Alcotest.(check bool) "unpaused" true (s.Flow_state.pause_by = None)
-  | None -> Alcotest.fail "flow should be stored"
+  Switch_port.process_reverse port h ~flow_id:1;
+  let flows = Switch_port.flow_list port in
+  let i = Flow_list.index_of flows 1 in
+  if i < 0 then Alcotest.fail "flow should be stored";
+  let s = Flow_list.get flows i in
+  Alcotest.(check bool) "rate committed" true (s.Flow_state.rate > 0.);
+  Alcotest.(check bool) "unpaused" true (s.Flow_state.pause_by = None)
 
 let test_port_reverse_zeroes_paused_rate () =
   let port = mk_port () in
   let h = mk_header () in
   h.Header.pause_by <- Some 99;
   h.Header.rate <- gbps;
-  Switch_port.process_reverse port h ~flow_id:5 ~now:0.;
+  Switch_port.process_reverse port h ~flow_id:5;
   if not (feq 0. h.Header.rate) then Alcotest.fail "paused ACK must carry rate 0"
 
 let test_port_early_start () =
@@ -255,7 +248,7 @@ let test_port_early_start () =
   let rtt = 1.5e-4 in
   let h1 = mk_header ~ttx:(0.5 *. rtt) () in
   Switch_port.process_forward port h1 ~flow_id:1 ~now:0.;
-  Switch_port.process_reverse port h1 ~flow_id:1 ~now:1e-5;
+  Switch_port.process_reverse port h1 ~flow_id:1;
   (* Flow 2 should be early-started: flow 1 is nearly done. *)
   let h2 = mk_header ~ttx:1. () in
   Switch_port.process_forward port h2 ~flow_id:2 ~now:2e-5;
@@ -267,7 +260,7 @@ let test_port_no_early_start_in_basic () =
   let rtt = 1.5e-4 in
   let h1 = mk_header ~ttx:(0.5 *. rtt) () in
   Switch_port.process_forward port h1 ~flow_id:1 ~now:0.;
-  Switch_port.process_reverse port h1 ~flow_id:1 ~now:1e-5;
+  Switch_port.process_reverse port h1 ~flow_id:1;
   let h2 = mk_header ~ttx:1. () in
   Switch_port.process_forward port h2 ~flow_id:2 ~now:2e-5;
   Alcotest.(check bool) "basic PDQ does not early-start" true
@@ -280,12 +273,12 @@ let test_port_suppressed_probing () =
     (fun i ttx ->
       let h = mk_header ~ttx () in
       Switch_port.process_forward port h ~flow_id:(i + 1) ~now:0.;
-      Switch_port.process_reverse port h ~flow_id:(i + 1) ~now:1e-5)
+      Switch_port.process_reverse port h ~flow_id:(i + 1))
     [ 10.; 20.; 30. ];
   (* ACK of the third flow (index 2): inter-probe = X * 2 = 0.4. *)
   let h = mk_header ~ttx:30. () in
   h.Header.pause_by <- Some 99;
-  Switch_port.process_reverse port h ~flow_id:3 ~now:2e-5;
+  Switch_port.process_reverse port h ~flow_id:3;
   if not (feq 0.4 h.Header.inter_probe_rtts) then
     Alcotest.failf "inter-probe %g, expected 0.4" h.Header.inter_probe_rtts
 
@@ -309,7 +302,7 @@ let test_port_rcp_fallback () =
     (fun i ttx ->
       let h = mk_header ~ttx () in
       Switch_port.process_forward port h ~flow_id:(i + 1) ~now:0.;
-      Switch_port.process_reverse port h ~flow_id:(i + 1) ~now:1e-5)
+      Switch_port.process_reverse port h ~flow_id:(i + 1))
     [ 1.; 2. ];
   let h3 = mk_header ~ttx:30. () in
   Switch_port.process_forward port h3 ~flow_id:3 ~now:2e-5;
@@ -323,7 +316,7 @@ let test_port_term_removes () =
   let h = mk_header () in
   Switch_port.process_forward port h ~flow_id:1 ~now:0.;
   Alcotest.(check int) "stored" 1 (Flow_list.length (Switch_port.flow_list port));
-  Switch_port.remove_flow port 1 ~now:1e-4;
+  Switch_port.remove_flow port 1;
   Alcotest.(check int) "removed" 0 (Flow_list.length (Switch_port.flow_list port))
 
 let test_port_stale_purge () =
@@ -373,7 +366,7 @@ let test_sender_ack_feedback () =
   let s = mk_sender () in
   let h = Sender.make_header s ~t:0. in
   h.Header.rate <- 5e8;
-  Sender.on_ack s h ~acked_bytes:50_000 ~rtt_sample:(Some 2e-4) ~now:1e-3;
+  Sender.on_ack s h ~acked_bytes:50_000 ~rtt_sample:2e-4 ~now:1e-3;
   if not (feq 5e8 (Sender.rate s)) then Alcotest.fail "rate follows feedback";
   Alcotest.(check int) "remaining updated" 50_000 (Sender.remaining_bytes s);
   Alcotest.(check bool) "not paused" true (not (Sender.is_paused s))
@@ -384,7 +377,7 @@ let test_sender_pause_feedback () =
   h.Header.pause_by <- Some 4;
   h.Header.rate <- 0.;
   h.Header.inter_probe_rtts <- 3.;
-  Sender.on_ack s h ~acked_bytes:0 ~rtt_sample:None ~now:1e-3;
+  Sender.on_ack s h ~acked_bytes:0 ~rtt_sample:0. ~now:1e-3;
   Alcotest.(check bool) "paused" true (Sender.is_paused s);
   Alcotest.(check bool) "paused by 4" true (Sender.paused_by s = Some 4);
   (* Inter-probe interval = I_S * RTT_S = 3 RTTs. *)
@@ -411,7 +404,7 @@ let test_sender_early_termination_rules () =
 let test_sender_finished () =
   let s = mk_sender ~size:1000 () in
   let h = Sender.make_header s ~t:0. in
-  Sender.on_ack s h ~acked_bytes:1000 ~rtt_sample:None ~now:1e-3;
+  Sender.on_ack s h ~acked_bytes:1000 ~rtt_sample:0. ~now:1e-3;
   Alcotest.(check bool) "finished" true (Sender.finished s)
 
 let test_sender_resize () =
@@ -426,7 +419,7 @@ let test_port_pause_accept_stability () =
   (* Flow 1 holds the bandwidth... *)
   let h1 = mk_header ~ttx:1. () in
   Switch_port.process_forward port h1 ~flow_id:1 ~now:0.;
-  Switch_port.process_reverse port h1 ~flow_id:1 ~now:1e-4;
+  Switch_port.process_reverse port h1 ~flow_id:1;
   (* ...so a longer flow stays paused on every consecutive header
      instead of flapping accept/pause as its own headers traverse. *)
   for i = 1 to 4 do
@@ -437,7 +430,6 @@ let test_port_pause_accept_stability () =
       true
       (h2.Header.pause_by = Some 99);
     Switch_port.process_reverse port h2 ~flow_id:2
-      ~now:((float_of_int i *. 1e-3) +. 1e-4)
   done;
   (* The holder is never paused by the flapping candidate. *)
   let h1' = mk_header ~ttx:1. () in
@@ -450,7 +442,7 @@ let test_port_invariant_errors_clean () =
   let port = mk_port () in
   let h = mk_header ~ttx:1. () in
   Switch_port.process_forward port h ~flow_id:1 ~now:0.;
-  Switch_port.process_reverse port h ~flow_id:1 ~now:1e-4;
+  Switch_port.process_reverse port h ~flow_id:1;
   Alcotest.(check (list string)) "healthy port self-checks clean" []
     (Switch_port.invariant_errors port)
 
@@ -461,13 +453,13 @@ let test_port_mature_rate_sum () =
   let port = mk_port () in
   let h = mk_header ~ttx:10. () in
   Switch_port.process_forward port h ~flow_id:1 ~now:0.;
-  Switch_port.process_reverse port h ~flow_id:1 ~now:1e-4;
+  Switch_port.process_reverse port h ~flow_id:1;
   if not (feq ~eps:1e-6 gbps (Switch_port.mature_rate_sum port)) then
     Alcotest.failf "mature flow counted, got %g" (Switch_port.mature_rate_sum port);
   let young = mk_port () in
   let hy = mk_header ~ttx:1e-4 () in
   Switch_port.process_forward young hy ~flow_id:1 ~now:0.;
-  Switch_port.process_reverse young hy ~flow_id:1 ~now:1e-4;
+  Switch_port.process_reverse young hy ~flow_id:1;
   if not (feq ~eps:1e-6 0. (Switch_port.mature_rate_sum young)) then
     Alcotest.failf "nearly-finished flow excused, got %g"
       (Switch_port.mature_rate_sum young)

@@ -86,7 +86,7 @@ let test_port_flush_and_rebuild () =
   in
   let h1 = Header.make ~rate:gbps ~expected_tx_time:1e-3 ~rtt:4e-4 () in
   Switch_port.process_forward port h1 ~flow_id:1 ~now:0.;
-  Switch_port.process_reverse port h1 ~flow_id:1 ~now:1e-4;
+  Switch_port.process_reverse port h1 ~flow_id:1;
   let h2 = Header.make ~rate:gbps ~expected_tx_time:10. ~rtt:4e-4 () in
   Switch_port.process_forward port h2 ~flow_id:2 ~now:2e-4;
   Alcotest.(check int) "two flows stored" 2

@@ -84,6 +84,72 @@ let prop_rx_random_arrivals =
         order;
       Rx_buffer.complete b && Rx_buffer.received_bytes b = size)
 
+(* The interval arrays against a per-byte reference model: one bool
+   per byte of capacity. Arrivals come in random order with
+   duplicates, overlaps and unaligned boundaries (some reaching past
+   the current size or below offset 0), and the size may grow mid-run
+   (the M-PDQ load-shift case). After every step the cumulative ack,
+   the distinct-byte count and completeness must match the model. *)
+type rx_step = Arrive of int * int | Grow of int
+
+let rx_step_gen ~capacity =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 9,
+          map2
+            (fun seq bytes -> Arrive (seq, bytes))
+            (int_range (-50) capacity) (int_range 1 400) );
+        (1, map (fun s -> Grow s) (int_range 1 capacity));
+      ])
+
+let rx_step_print = function
+  | Arrive (seq, bytes) -> Printf.sprintf "arrive %d+%d" seq bytes
+  | Grow s -> Printf.sprintf "grow %d" s
+
+let prop_rx_reference_model =
+  let capacity = 3000 in
+  QCheck.Test.make ~name:"matches a per-byte reference model" ~count:500
+    QCheck.(
+      pair (int_range 1 capacity)
+        (make
+           ~print:(QCheck.Print.list rx_step_print)
+           Gen.(list_size (int_range 0 80) (rx_step_gen ~capacity))))
+    (fun (size0, steps) ->
+      let b = Rx_buffer.create ~capacity ~size:size0 ~segment:1444 () in
+      let model = Array.make capacity false in
+      let size = ref size0 in
+      let count () = Array.fold_left (fun n v -> if v then n + 1 else n) 0 model in
+      let cum () =
+        let i = ref 0 in
+        while !i < capacity && model.(!i) do
+          incr i
+        done;
+        !i
+      in
+      let agrees () =
+        let received = count () in
+        Rx_buffer.received_bytes b = received
+        && Rx_buffer.cumulative_ack b = cum ()
+        && Rx_buffer.complete b = (received >= !size)
+      in
+      List.for_all
+        (fun step ->
+          (match step with
+          | Arrive (seq, bytes) ->
+              Rx_buffer.on_data b ~seq ~bytes;
+              for i = max 0 seq to min !size (seq + bytes) - 1 do
+                model.(i) <- true
+              done
+          | Grow s ->
+              (* Only grow, as M-PDQ's load shifts onto a subflow do. *)
+              if s >= !size then begin
+                Rx_buffer.set_size b s;
+                size := s
+              end);
+          agrees ())
+        steps)
+
 (* ------------------------------------------------------------------ *)
 (* BCube address-based paths *)
 
@@ -291,7 +357,7 @@ let suites =
         Alcotest.test_case "resize" `Quick test_rx_resize;
         Alcotest.test_case "beyond size clipped" `Quick test_rx_beyond_size_dropped;
       ]
-      @ qsuite [ prop_rx_random_arrivals ] );
+      @ qsuite [ prop_rx_random_arrivals; prop_rx_reference_model ] );
     ( "mpdq.bcube_paths",
       [
         Alcotest.test_case "paths valid" `Quick test_bcube_paths_valid;

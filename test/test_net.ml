@@ -13,7 +13,8 @@ let feq ?(eps = 1e-9) a b = abs_float (a -. b) <= eps *. (1. +. abs_float a)
 
 let mk_packet ?(bytes = 1500) ~now () =
   Packet.make ~flow:0 ~src:0 ~dst:1 ~kind:Packet.Data
-    ~payload_bytes:(bytes - Packet.header_bytes) ~payload:Packet.No_payload ~now ()
+    ~payload_bytes:(bytes - Packet.header_bytes) ~seq:0 ~extra_header:0
+    ~payload:Packet.No_payload ~now
 
 (* ------------------------------------------------------------------ *)
 (* Link *)
@@ -42,7 +43,7 @@ let test_link_serialization_fifo () =
   for i = 0 to 4 do
     Link.send link
       (Packet.make ~flow:0 ~src:0 ~dst:1 ~kind:Packet.Data ~payload_bytes:1460
-         ~seq:i ~payload:Packet.No_payload ~now:0. ())
+         ~seq:i ~extra_header:0 ~payload:Packet.No_payload ~now:0.)
   done;
   Sim.run sim;
   Alcotest.(check (list int)) "FIFO order" [ 0; 1; 2; 3; 4 ] (List.rev !order);
@@ -60,6 +61,69 @@ let test_link_tail_drop () =
   Sim.run sim;
   Alcotest.(check int) "delivered limited by buffer" 2 !got;
   Alcotest.(check int) "drops counted" 3 (Link.dropped link)
+
+(* The link's queues are power-of-two rings that start at 16 slots.
+   Bursts of up to 40 mixed-size packets arrive while earlier ones
+   are still serializing and propagating, so the tx ring grows and
+   both rings wrap around repeatedly. A reference FIFO mirrors what
+   the link should hold: every offered packet is either tail-dropped
+   (exactly when it would overflow the buffer) or queued, the tap
+   pops it at the end of serialization, and the receiver must see the
+   accepted packets in offer order. *)
+let test_link_ring_fifo () =
+  let sim = Sim.create () in
+  let buffer = 30_000 in
+  let link = mk_link ~buffer sim in
+  let rng = Rng.create 7 in
+  let model = Queue.create () and model_bytes = ref 0 in
+  let accepted = ref [] and received = ref [] and peak = ref 0 in
+  let exact () =
+    peak := max !peak (Queue.length model);
+    Alcotest.(check int) "queue_packets" (Queue.length model) (Link.queue_packets link);
+    Alcotest.(check int) "queue_bytes" !model_bytes (Link.queue_bytes link)
+  in
+  Link.set_receiver link (fun p -> received := p.Packet.seq :: !received);
+  Link.on_transmit link (fun ~now:_ ~bytes ->
+      let seq, b = Queue.pop model in
+      Alcotest.(check int) (Printf.sprintf "bytes of %d" seq) b bytes;
+      model_bytes := !model_bytes - b;
+      exact ());
+  let next_seq = ref 0 in
+  let offer () =
+    let bytes = Packet.header_bytes + Rng.int rng 1461 in
+    let seq = !next_seq in
+    incr next_seq;
+    let drops = Link.dropped_overflow link in
+    Link.send link
+      (Packet.make ~flow:0 ~src:0 ~dst:1 ~kind:Packet.Data
+         ~payload_bytes:(bytes - Packet.header_bytes) ~seq ~extra_header:0
+         ~payload:Packet.No_payload ~now:(Sim.now sim));
+    let overflow = !model_bytes + bytes > buffer in
+    Alcotest.(check int)
+      (Printf.sprintf "packet %d dropped iff it overflows" seq)
+      (if overflow then drops + 1 else drops)
+      (Link.dropped_overflow link);
+    if not overflow then begin
+      Queue.push (seq, bytes) model;
+      model_bytes := !model_bytes + bytes;
+      accepted := seq :: !accepted
+    end;
+    exact ()
+  in
+  for k = 0 to 199 do
+    let burst = 1 + (k * 13 mod 40) in
+    ignore
+      (Sim.schedule sim ~delay:(float_of_int k *. 60e-6) (fun () ->
+           for _ = 1 to burst do
+             offer ()
+           done))
+  done;
+  Sim.run sim;
+  exact ();
+  Alcotest.(check bool) "some packets tail-dropped" true (Link.dropped_overflow link > 0);
+  Alcotest.(check bool) "queue outgrew the initial ring" true (!peak > 16);
+  Alcotest.(check (list int)) "delivered in offer order" (List.rev !accepted)
+    (List.rev !received)
 
 let test_link_queue_accounting () =
   let sim = Sim.create () in
@@ -344,6 +408,7 @@ let suites =
         Alcotest.test_case "delivery latency" `Quick test_link_delivery_time;
         Alcotest.test_case "FIFO serialization" `Quick test_link_serialization_fifo;
         Alcotest.test_case "tail drop" `Quick test_link_tail_drop;
+        Alcotest.test_case "ring FIFO across wrap and growth" `Quick test_link_ring_fifo;
         Alcotest.test_case "queue accounting" `Quick test_link_queue_accounting;
         Alcotest.test_case "bernoulli loss" `Quick test_link_loss;
         Alcotest.test_case "down/up semantics" `Quick test_link_down_up;

@@ -346,6 +346,54 @@ let test_determinism () =
   let a = run_once () and b = run_once () in
   Alcotest.(check bool) "identical runs" true (a = b)
 
+(* ------------------------------------------------------------------ *)
+(* Packet-path allocation ceiling *)
+
+(* One fixed overload scenario per protocol on the 12-server tree:
+   nine senders in the other racks converge on one receiver through
+   6 KB tail-drop buffers, so queues overflow, receivers see holes and
+   the senders recover. Apart from each packet and its payload the
+   per-packet path allocates nothing, so the run's minor words per
+   executed event stay under a committed ceiling; a change that brings
+   back per-hop garbage (an option cell, a closure, a boxed float
+   written into a mixed record) trips this check. The ceilings sit
+   about 25% above the measured values (DESIGN.md §6). *)
+let alloc_overload protocol =
+  let sim = Sim.create () in
+  let params = { Topology.default_params with Topology.buffer_bytes = kb 6. } in
+  let built = Builder.single_rooted_tree ~params ~sim () in
+  let hosts = built.Builder.hosts in
+  let specs =
+    List.init 9 (fun i ->
+        spec ~src:hosts.(i + 3) ~dst:hosts.(0)
+          ~size:(kb (200. +. (40. *. float_of_int i)))
+          ())
+  in
+  let w0 = Gc.minor_words () in
+  let r = Runner.execute ~options:opts ~topo:built.Builder.topo protocol specs in
+  let words = Gc.minor_words () -. w0 in
+  (r, words /. float_of_int (Sim.events_executed sim))
+
+let test_alloc_ceiling (protocol, ceiling) () =
+  let r, per_event = alloc_overload protocol in
+  let drops =
+    try List.assoc "drop.overflow" r.Runner.counters with Not_found -> 0
+  in
+  Alcotest.(check int) "all flows complete" 9 r.Runner.completed;
+  Alcotest.(check bool) "buffers overflow" true (drops > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per event %.2f <= %.1f" per_event ceiling)
+    true (per_event <= ceiling)
+
+let alloc_ceilings =
+  [
+    (Runner.Pdq Config.full, 7.0);
+    (Runner.mpdq ~subflows:3 (), 7.2);
+    (Runner.Rcp, 5.4);
+    (Runner.D3, 5.8);
+    (Runner.Tcp, 3.5);
+  ]
+
 let suites =
   [
     ( "transport.single_flow",
@@ -393,4 +441,11 @@ let suites =
         Alcotest.test_case "stride on tree" `Quick test_pdq_on_tree_patterns;
         Alcotest.test_case "determinism" `Quick test_determinism;
       ] );
+    ( "transport.alloc",
+      List.map
+        (fun ((p, _) as case) ->
+          Alcotest.test_case
+            (Runner.protocol_name p ^ " per-event ceiling")
+            `Quick (test_alloc_ceiling case))
+        alloc_ceilings );
   ]
