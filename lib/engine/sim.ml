@@ -311,6 +311,16 @@ let schedule_at_k t kind ~time f =
   t.tscratch.(0) <- time;
   do_schedule t kind f
 
+(* The delay cell is [tscratch] itself: [schedule_cell_k] turns the
+   delay a caller stored there into the event time in place. *)
+let delay_cell t = t.tscratch
+
+let schedule_cell_k t kind f =
+  let delay = t.tscratch.(0) in
+  if delay < 0. then invalid_arg "Sim.schedule: negative delay";
+  t.tscratch.(0) <- t.clock.(0) +. delay;
+  do_schedule t kind f
+
 let schedule_k t kind ~delay f =
   if delay < 0. then invalid_arg "Sim.schedule: negative delay";
   t.tscratch.(0) <- t.clock.(0) +. delay;

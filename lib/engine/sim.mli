@@ -61,6 +61,18 @@ val schedule_k : t -> Kind.t -> delay:float -> (unit -> unit) -> handle
 val schedule_at_k : t -> Kind.t -> time:float -> (unit -> unit) -> handle
 (** {!schedule_at}, kind passed positionally (see {!schedule_k}). *)
 
+val delay_cell : t -> float array
+(** A one-cell scratch array for {!schedule_cell_k}. Under separate
+    compilation a float computed in one module and passed to a function
+    of another is boxed on every call; storing it here is not. Write it
+    immediately before each {!schedule_cell_k}: scheduling overwrites
+    it. *)
+
+val schedule_cell_k : t -> Kind.t -> (unit -> unit) -> handle
+(** [schedule_cell_k sim kind f] is {!schedule_k} with the delay read
+    from [(delay_cell sim).(0)]. Per-packet paths whose delay is
+    computed, not stored, use it to schedule without boxing. *)
+
 val none : handle
 (** A handle that never names a live event: {!cancel} ignores it and
     {!cancelled} holds for it. Lets a record field hold "no pending

@@ -84,8 +84,6 @@ type t = {
   mutable deliver : unit -> unit;
   mutable queued_bytes : int;
   mutable busy : bool;
-  mutable last_tx_bytes : int;
-  mutable last_tx_time : float;
   mutable receiver : Packet.t -> unit;
   mutable loss_model : loss_model;
   mutable loss_rng : Pdq_engine.Rng.t option;
@@ -112,15 +110,11 @@ let start_transmission t =
   else begin
     let pkt = Ring.peek t.queue in
     t.busy <- true;
-    let bytes = pkt.Packet.wire_bytes in
-    (* Packets on a link come in few sizes (MTU data one way, ACKs the
-       other): reuse the last serialization time, already boxed, when
-       the size repeats. *)
-    if bytes <> t.last_tx_bytes then begin
-      t.last_tx_bytes <- bytes;
-      t.last_tx_time <- Pdq_engine.Units.tx_time ~bytes ~rate:t.rate
-    end;
-    ignore (Pdq_engine.Sim.schedule_k t.sim k_tx ~delay:t.last_tx_time t.tx_done)
+    (* [Units.tx_time], computed here and passed through the delay
+       cell so the serialization time is never boxed. *)
+    (Pdq_engine.Sim.delay_cell t.sim).(0) <-
+      float_of_int pkt.Packet.wire_bytes *. 8. /. t.rate;
+    ignore (Pdq_engine.Sim.schedule_cell_k t.sim k_tx t.tx_done)
   end
 
 let on_tx_done t =
@@ -155,8 +149,6 @@ let create ~sim ~id ~src ~dst ~rate ~prop_delay ~proc_delay ~buffer_bytes () =
     deliver = noop;
     queued_bytes = 0;
     busy = false;
-    last_tx_bytes = -1;
-    last_tx_time = 0.;
     receiver = (fun _ -> failwith "Link: receiver not set");
     loss_model = No_loss;
     loss_rng = None;

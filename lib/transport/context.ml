@@ -35,7 +35,6 @@ type hooks = {
 
 type t = {
   sim : Sim.t;
-  clock : float array; (* [Sim.clock sim] *)
   topo : Topology.t;
   router : Router.t;
   rng : Pdq_engine.Rng.t;
@@ -61,7 +60,6 @@ let subflow_id_base = 1_000_000
 let create ?(trace = Trace.null) ~sim ~topo ~rng ~init_rtt () =
   {
     sim;
-    clock = Sim.clock sim;
     topo;
     router = Router.create topo;
     rng;
@@ -91,7 +89,6 @@ let router t = t.router
 let rng t = t.rng
 let init_rtt t = t.init_rtt
 let now t = Sim.now t.sim
-let clock t = t.clock
 
 let tally t = t.tally
 let trace t = t.trace

@@ -56,10 +56,6 @@ val rng : t -> Pdq_engine.Rng.t
 val init_rtt : t -> float
 val now : t -> float
 
-val clock : t -> float array
-(** {!Pdq_engine.Sim.clock} of the run's simulator: [(clock t).(0)] is
-    [now t] without boxing a float. Read-only. *)
-
 val trace : t -> Pdq_telemetry.Trace.t
 (** The run's trace bus ({!Pdq_telemetry.Trace.null} when no sink is
     attached). *)

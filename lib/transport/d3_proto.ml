@@ -90,8 +90,7 @@ let ops ctx nic_rate : Rate_flow.ops =
     Rate_flow.extra_header = Payloads.d3_header_bytes;
     min_rate;
     fwd_payload =
-      (fun s _kind ->
-        let now = Context.now ctx in
+      (fun s _kind ~now ->
         let desired = desired_rate s ~now in
         Payloads.D3_ctrl
           ( {
@@ -186,12 +185,14 @@ let install ~ctx ~until =
     ~on_reverse:(fun ~fwd_link:_ _ -> ())
     ~deliver:(fun ~node pkt -> Rate_flow.deliver inner ~node pkt);
   let sim = Context.sim ctx in
+  let clock = Sim.clock sim in
   Array.iter
     (fun p ->
       let rec tick () =
-        if Sim.now sim <= until then begin
+        if clock.(0) <= until then begin
           rollover p;
-          ignore (Sim.schedule_k sim k_tick ~delay:(fmax p.est.rtt_avg 5e-5) tick)
+          (Sim.delay_cell sim).(0) <- fmax p.est.rtt_avg 5e-5;
+          ignore (Sim.schedule_cell_k sim k_tick tick)
         end
       in
       ignore (Sim.schedule_k sim k_tick ~delay:0. tick))

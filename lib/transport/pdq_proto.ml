@@ -194,8 +194,9 @@ let et_enabled s =
    rate changes. Bounded so that a transiently tiny grant cannot park
    the sender for many milliseconds: if even the bounded interval
    overshoots the granted rate, the resulting queue makes the rate
-   controller pause the flow properly. *)
-let pacing_interval s ~wire_bytes =
+   controller pause the flow properly. Inlined so its callers can hand
+   the result to [Sim.delay_cell] unboxed. *)
+let[@inline] pacing_interval s ~wire_bytes =
   let rate = Sender.rate s.core in
   if rate <= 0. then infinity
   else
@@ -218,9 +219,10 @@ let send_data s () =
     if s.next_seq > s.sent_hi then s.sent_hi <- s.next_seq;
     s.last_tx <- now;
     if s.next_seq < s.size then begin
-      let interval = pacing_interval s ~wire_bytes:pkt.Packet.wire_bytes in
-      s.send_ev <-
-        Sim.schedule_k (Context.sim s.proto.ctx) k_send ~delay:interval s.send_fn
+      let sim = Context.sim s.proto.ctx in
+      (Sim.delay_cell sim).(0) <-
+        pacing_interval s ~wire_bytes:pkt.Packet.wire_bytes;
+      s.send_ev <- Sim.schedule_cell_k sim k_send s.send_fn
     end
   end
 
@@ -236,8 +238,10 @@ let ensure_sending s =
     let interval =
       pacing_interval s ~wire_bytes:(max_payload + Packet.header_bytes)
     in
-    let delay = fmax 0. (s.last_tx +. interval -. now s) in
-    s.send_ev <- Sim.schedule_k (Context.sim s.proto.ctx) k_send ~delay s.send_fn
+    let sim = Context.sim s.proto.ctx in
+    (Sim.delay_cell sim).(0) <-
+      fmax 0. (s.last_tx +. interval -. (Sim.clock sim).(0));
+    s.send_ev <- Sim.schedule_cell_k sim k_send s.send_fn
   end
 
 let probe_loop s () =
@@ -255,20 +259,21 @@ let probe_loop s () =
        more than a few unanswered probes means the path is suspect:
        back the probing off exponentially (with jitter) instead of
        hammering a dead or rebooting switch. *)
-    let delay =
-      if s.probes_unanswered <= probe_backoff_threshold then base
-      else
-        let expo = min (s.probes_unanswered - probe_backoff_threshold) backoff_cap in
-        jittered (Context.rng s.proto.ctx) (base *. float_of_int (1 lsl expo))
-    in
-    s.probe_ev <- Sim.schedule_k (Context.sim s.proto.ctx) k_probe ~delay s.probe_fn
+    let sim = Context.sim s.proto.ctx in
+    (Sim.delay_cell sim).(0) <-
+      (if s.probes_unanswered <= probe_backoff_threshold then base
+       else
+         let expo = min (s.probes_unanswered - probe_backoff_threshold) backoff_cap in
+         jittered (Context.rng s.proto.ctx) (base *. float_of_int (1 lsl expo)));
+    s.probe_ev <- Sim.schedule_cell_k sim k_probe s.probe_fn
   end
 
 let ensure_probing s =
   if (not s.closed) && s.probe_ev == Sim.none && Sender.is_paused s.core && s.syn_acked
   then begin
-    let delay = fmax (Sender.inter_probe_interval s.core) 1e-5 in
-    s.probe_ev <- Sim.schedule_k (Context.sim s.proto.ctx) k_probe ~delay s.probe_fn
+    let sim = Context.sim s.proto.ctx in
+    (Sim.delay_cell sim).(0) <- fmax (Sender.inter_probe_interval s.core) 1e-5;
+    s.probe_ev <- Sim.schedule_cell_k sim k_probe s.probe_fn
   end
 
 let adjust_loops s =
@@ -324,10 +329,9 @@ let watchdog s () =
         ensure_sending s
       end;
       if not s.closed then begin
-        let delay = fmax (Sender.rtt s.core) 5e-4 in
-        ignore
-          (Sim.schedule_k (Context.sim s.proto.ctx) k_watchdog ~delay
-             s.watchdog_fn)
+        let sim = Context.sim s.proto.ctx in
+        (Sim.delay_cell sim).(0) <- fmax (Sender.rtt s.core) 5e-4;
+        ignore (Sim.schedule_cell_k sim k_watchdog s.watchdog_fn)
       end
     end
   end
@@ -487,8 +491,9 @@ let install ?(size_info = Sender.Known) ~config ~ctx ~until () =
         if Sim.now sim <= until then begin
           Switch_port.update_rate_controller port
             ~queue_bytes:(Link.queue_bytes link) ~now:(Sim.now sim);
-          let delay = fmax (Switch_port.rate_update_interval port) 2e-5 in
-          ignore (Sim.schedule_k sim k_rate_ctl ~delay tick)
+          (Sim.delay_cell sim).(0) <-
+            fmax (Switch_port.rate_update_interval port) 2e-5;
+          ignore (Sim.schedule_cell_k sim k_rate_ctl tick)
         end
       in
       ignore (Sim.schedule_k sim k_rate_ctl ~delay:0. tick))

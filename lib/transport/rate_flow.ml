@@ -31,7 +31,7 @@ type sender = {
 and ops = {
   extra_header : int;
   min_rate : float;
-  fwd_payload : sender -> Packet.kind -> Packet.payload;
+  fwd_payload : sender -> Packet.kind -> now:float -> Packet.payload;
   ack_payload : cum_ack:int -> echo_ts:float -> Packet.t -> Packet.payload;
   rate_of_ack : sender -> Packet.t -> float;
   quench : sender -> now:float -> bool;
@@ -39,13 +39,12 @@ and ops = {
 
 and t = {
   ctx : Context.t;
-  clock : float array; (* [Context.clock ctx] *)
   ops : ops;
   senders : (int, sender) Hashtbl.t;
 }
 
 let install ~ctx ~ops =
-  { ctx; clock = Context.clock ctx; ops; senders = Hashtbl.create 64 }
+  { ctx; ops; senders = Hashtbl.create 64 }
 
 let noop () = ()
 
@@ -70,21 +69,23 @@ let size s = s.flow.Context.spec.Context.size
 let rto s = fmax (3. *. s.rtt.(0)) 1e-3
 let max_payload s = Packet.max_payload ~scheduling_header:s.proto.ops.extra_header
 
-let make_pkt s ~kind ~payload_bytes ~seq =
+let make_pkt s ~kind ~payload_bytes ~seq ~now =
   let spec = s.flow.Context.spec in
   Packet.make ~flow:s.flow.Context.id ~src:spec.Context.src ~dst:spec.Context.dst
     ~kind ~payload_bytes ~seq ~extra_header:s.proto.ops.extra_header
-    ~payload:(s.proto.ops.fwd_payload s kind)
-    ~now:(now s)
+    ~payload:(s.proto.ops.fwd_payload s kind ~now)
+    ~now
 
 let transmit s pkt =
   Context.transmit s.proto.ctx ~from:s.flow.Context.spec.Context.src pkt
 
 let send_syn s =
-  s.last_syn <- now s;
-  transmit s (make_pkt s ~kind:Packet.Syn ~payload_bytes:0 ~seq:0)
+  let now = now s in
+  s.last_syn <- now;
+  transmit s (make_pkt s ~kind:Packet.Syn ~payload_bytes:0 ~seq:0 ~now)
 
-let send_term s = transmit s (make_pkt s ~kind:Packet.Term ~payload_bytes:0 ~seq:0)
+let send_term s =
+  transmit s (make_pkt s ~kind:Packet.Term ~payload_bytes:0 ~seq:0 ~now:(now s))
 
 let cancel_send s =
   Sim.cancel (Context.sim s.proto.ctx) s.send_ev;
@@ -127,8 +128,9 @@ let abort s ~cause =
 
 (* Pacing interval at the current rate, bounded so a transiently tiny
    grant cannot park the sender; the explicit-rate feedback corrects
-   any resulting overshoot within an RTT. *)
-let pacing_interval s ~wire_bytes =
+   any resulting overshoot within an RTT. Inlined so its callers can
+   hand the result to [Sim.delay_cell] unboxed. *)
+let[@inline] pacing_interval s ~wire_bytes =
   if s.rate <= 0. then infinity
   else begin
     let tx = float_of_int wire_bytes *. 8. /. s.rate (* Units.tx_time *) in
@@ -139,14 +141,16 @@ let send_data s () =
   s.send_ev <- Sim.none;
   if (not s.closed) && s.rate > 0. && s.next_seq < size s then begin
     let payload = Int.min (max_payload s) (size s - s.next_seq) in
-    let pkt = make_pkt s ~kind:Packet.Data ~payload_bytes:payload ~seq:s.next_seq in
+    let now = now s in
+    let pkt = make_pkt s ~kind:Packet.Data ~payload_bytes:payload ~seq:s.next_seq ~now in
     transmit s pkt;
     s.next_seq <- s.next_seq + payload;
-    s.last_tx <- now s;
+    s.last_tx <- now;
     if s.next_seq < size s then begin
-      let interval = pacing_interval s ~wire_bytes:pkt.Packet.wire_bytes in
-      s.send_ev <-
-        Sim.schedule_k (Context.sim s.proto.ctx) k_send ~delay:interval s.send_fn
+      let sim = Context.sim s.proto.ctx in
+      (Sim.delay_cell sim).(0) <-
+        pacing_interval s ~wire_bytes:pkt.Packet.wire_bytes;
+      s.send_ev <- Sim.schedule_cell_k sim k_send s.send_fn
     end
   end
 
@@ -156,8 +160,10 @@ let ensure_sending s =
     let interval =
       pacing_interval s ~wire_bytes:(max_payload s + Packet.header_bytes)
     in
-    let delay = fmax 0. (s.last_tx +. interval -. s.proto.clock.(0)) in
-    s.send_ev <- Sim.schedule_k (Context.sim s.proto.ctx) k_send ~delay s.send_fn
+    let sim = Context.sim s.proto.ctx in
+    (Sim.delay_cell sim).(0) <-
+      fmax 0. (s.last_tx +. interval -. (Sim.clock sim).(0));
+    s.send_ev <- Sim.schedule_cell_k sim k_send s.send_fn
   end
 
 let watchdog s () =
@@ -193,11 +199,10 @@ let watchdog s () =
         (* Per-RTT rate-request probe when data is not flowing fast
            enough to carry requests itself. *)
         if s.syn_acked && s.acked < size s && t -. s.last_tx > s.rtt.(0) then
-          transmit s (make_pkt s ~kind:Packet.Probe ~payload_bytes:0 ~seq:0);
-        ignore
-          (Sim.schedule_k (Context.sim s.proto.ctx) k_watchdog
-             ~delay:(fmax (fmin s.rtt.(0) 5e-4) 1e-4)
-             s.watchdog_fn)
+          transmit s (make_pkt s ~kind:Packet.Probe ~payload_bytes:0 ~seq:0 ~now:t);
+        let sim = Context.sim s.proto.ctx in
+        (Sim.delay_cell sim).(0) <- fmax (fmin s.rtt.(0) 5e-4) 1e-4;
+        ignore (Sim.schedule_cell_k sim k_watchdog s.watchdog_fn)
       end
     end
   end

@@ -16,8 +16,9 @@ type ops = {
   min_rate : float;
       (** Rate floor so a flow always makes progress (explicit-rate
           protocols never pause). *)
-  fwd_payload : sender -> Pdq_net.Packet.kind -> Pdq_net.Packet.payload;
-      (** Payload for an outgoing SYN/DATA/TERM. *)
+  fwd_payload :
+    sender -> Pdq_net.Packet.kind -> now:float -> Pdq_net.Packet.payload;
+      (** Payload for an outgoing SYN/DATA/TERM sent at [now]. *)
   ack_payload :
     cum_ack:int -> echo_ts:float -> Pdq_net.Packet.t -> Pdq_net.Packet.payload;
       (** Receiver-side: payload of the ACK echoing the given forward

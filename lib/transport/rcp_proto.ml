@@ -24,17 +24,9 @@ type port = {
   flows : (int, float array) Hashtbl.t;
       (* flow id -> one cell holding its last-seen time *)
   est : est;
-  mutable stale : int list; (* scratch of [purge] *)
-  mutable collect_stale : int -> float array -> unit;
-      (* allocated once per port: [purge]'s scan *)
 }
 
-type t = {
-  ctx : Context.t;
-  clock : float array; (* [Context.clock ctx] *)
-  ports : port array;
-  inner : Rate_flow.t;
-}
+type t = { ctx : Context.t; ports : port array; inner : Rate_flow.t }
 
 let recompute_fair p =
   let n = Int.max 1 (Hashtbl.length p.flows) in
@@ -54,10 +46,11 @@ let on_forward t ~link (pkt : Packet.t) =
           Hashtbl.remove p.flows pkt.Packet.flow;
           recompute_fair p
       | Packet.Syn | Packet.Data | Packet.Probe ->
+          let now = (Sim.clock (Context.sim t.ctx)).(0) in
           (match Hashtbl.find p.flows pkt.Packet.flow with
-          | seen -> seen.(0) <- t.clock.(0)
+          | seen -> seen.(0) <- now
           | exception Not_found ->
-              Hashtbl.replace p.flows pkt.Packet.flow [| t.clock.(0) |];
+              Hashtbl.replace p.flows pkt.Packet.flow [| now |];
               recompute_fair p);
           if ctrl.Payloads.rcp_rtt > 0. then
             p.est.rtt_avg <-
@@ -66,18 +59,18 @@ let on_forward t ~link (pkt : Packet.t) =
       | Packet.Syn_ack | Packet.Ack -> ())
   | _ -> ()
 
-let ops ctx : Rate_flow.ops =
+let ops : Rate_flow.ops =
   {
     Rate_flow.extra_header = Payloads.rcp_header_bytes;
     min_rate;
     fwd_payload =
-      (fun s _kind ->
+      (fun s _kind ~now ->
         Payloads.Rcp_ctrl
           ( {
               Payloads.rcp_rate = infinity;
               rcp_rtt = Rate_flow.sender_rtt s;
             },
-            { Payloads.cum_ack = 0; echo_ts = Context.now ctx } ));
+            { Payloads.cum_ack = 0; echo_ts = now } ));
     ack_payload =
       (fun ~cum_ack ~echo_ts pkt ->
         match pkt.Packet.payload with
@@ -96,37 +89,19 @@ let ops ctx : Rate_flow.ops =
     quench = (fun _ ~now:_ -> false);
   }
 
-(* Purge flows whose sender vanished without a TERM (packet loss): a
-   generous horizon so slow flows are never evicted spuriously. *)
-let purge p =
-  p.stale <- [];
-  Hashtbl.iter p.collect_stale p.flows;
-  if p.stale <> [] then begin
-    List.iter (Hashtbl.remove p.flows) p.stale;
-    recompute_fair p
-  end
-
 let install ~ctx ~until =
   let topo = Context.topo ctx in
-  let clock = Context.clock ctx in
   let ports =
     Array.init (Topology.link_count topo) (fun i ->
         let link = Topology.link topo i in
-        let p =
-          {
-            link;
-            flows = Hashtbl.create 16;
-            est = { fair = Link.rate link; rtt_avg = Context.init_rtt ctx };
-            stale = [];
-            collect_stale = (fun _ _ -> ());
-          }
-        in
-        p.collect_stale <-
-          (fun id seen -> if clock.(0) -. seen.(0) > 0.5 then p.stale <- id :: p.stale);
-        p)
+        {
+          link;
+          flows = Hashtbl.create 16;
+          est = { fair = Link.rate link; rtt_avg = Context.init_rtt ctx };
+        })
   in
-  let inner = Rate_flow.install ~ctx ~ops:(ops ctx) in
-  let t = { ctx; clock; ports; inner } in
+  let inner = Rate_flow.install ~ctx ~ops in
+  let t = { ctx; ports; inner } in
   (* Crash-reboot: the per-port flow table is soft state rebuilt from
      the next packets through; reset the estimators to their initial
      values. *)
@@ -144,13 +119,27 @@ let install ~ctx ~until =
     ~on_reverse:(fun ~fwd_link:_ _ -> ())
     ~deliver:(fun ~node pkt -> Rate_flow.deliver inner ~node pkt);
   let sim = Context.sim ctx in
+  let clock = Sim.clock sim in
   Array.iter
     (fun p ->
+      (* Purge flows whose sender vanished without a TERM (packet loss):
+         a generous horizon so slow flows are never evicted spuriously.
+         The scan closure is built once per port, not per tick. *)
+      let stale = ref [] in
+      let collect id seen =
+        if clock.(0) -. seen.(0) > 0.5 then stale := id :: !stale
+      in
       let rec tick () =
         if clock.(0) <= until then begin
-          purge p;
+          stale := [];
+          Hashtbl.iter collect p.flows;
+          if !stale <> [] then begin
+            List.iter (Hashtbl.remove p.flows) !stale;
+            recompute_fair p
+          end;
           recompute_fair p;
-          ignore (Sim.schedule_k sim k_tick ~delay:(fmax p.est.rtt_avg 5e-5) tick)
+          (Sim.delay_cell sim).(0) <- fmax p.est.rtt_avg 5e-5;
+          ignore (Sim.schedule_cell_k sim k_tick tick)
         end
       in
       ignore (Sim.schedule_k sim k_tick ~delay:0. tick))

@@ -47,7 +47,6 @@ type sender = {
 
 and t = {
   ctx : Context.t;
-  clock : float array; (* [Context.clock ctx] *)
   rto_min : float;
   senders : (int, sender) Hashtbl.t;
 }
@@ -57,7 +56,7 @@ let sender_cwnd t ~flow =
   | s -> s.cc.cwnd
   | exception Not_found -> 0.
 
-let now s = s.proto.clock.(0)
+let now s = (Sim.clock (Context.sim s.proto.ctx)).(0)
 let size s = s.flow.Context.spec.Context.size
 
 let make_pkt s ~kind ~payload_bytes ~seq =
@@ -127,7 +126,9 @@ let rec arm_timer s =
         delay *. (0.75 +. (0.5 *. Pdq_engine.Rng.float (Context.rng s.proto.ctx)))
       else delay
     in
-    s.timer <- Sim.schedule_k (Context.sim s.proto.ctx) k_timer ~delay s.timer_fn
+    let sim = Context.sim s.proto.ctx in
+    (Sim.delay_cell sim).(0) <- delay;
+    s.timer <- Sim.schedule_cell_k sim k_timer s.timer_fn
   end
 
 (* Retransmission timeout: multiplicative backoff, window collapse,
@@ -167,7 +168,8 @@ and try_send s =
     done
   end
 
-let update_rtt s sample =
+(* Inlined into [on_ack] so the sample is never boxed. *)
+let[@inline] update_rtt s sample =
   let cc = s.cc in
   if cc.srtt = 0. then begin
     cc.srtt <- sample;
@@ -290,7 +292,7 @@ let deliver t ~node (pkt : Packet.t) =
           if node = s.flow.Context.spec.Context.src then on_ack s pkt)
 
 let install ?(rto_min = 1e-3) ~ctx () =
-  let t = { ctx; clock = Context.clock ctx; rto_min; senders = Hashtbl.create 64 } in
+  let t = { ctx; rto_min; senders = Hashtbl.create 64 } in
   Context.set_hooks ctx
     ~on_forward:(fun ~link:_ _ -> ())
     ~on_reverse:(fun ~fwd_link:_ _ -> ())

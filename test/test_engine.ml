@@ -268,6 +268,54 @@ let test_sim_alloc_free () =
     true
     (per_event < 2.)
 
+(* [schedule_cell_k] is [schedule_k] with the delay read from
+   [delay_cell]: the same firing times and tie order, the same
+   rejection of negative delays, and a delay the caller computes is
+   never boxed. *)
+let test_sim_delay_cell () =
+  let k = Sim.Kind.register "test.delay_cell" in
+  let fired schedule =
+    let sim = Sim.create () in
+    let log = ref [] in
+    List.iteri
+      (fun i delay ->
+        ignore (schedule sim delay (fun () -> log := (i, Sim.now sim) :: !log)))
+      [ 3e-6; 1e-6; 3e-6; 0. ];
+    Sim.run sim;
+    List.rev !log
+  in
+  let via_k sim delay f = Sim.schedule_k sim k ~delay f in
+  let via_cell sim delay f =
+    (Sim.delay_cell sim).(0) <- delay;
+    Sim.schedule_cell_k sim k f
+  in
+  Alcotest.(check (list (pair int (float 0.))))
+    "same firing order and times" (fired via_k) (fired via_cell);
+  let sim = Sim.create () in
+  (Sim.delay_cell sim).(0) <- -1.;
+  Alcotest.check_raises "negative delay"
+    (Invalid_argument "Sim.schedule: negative delay") (fun () ->
+      ignore (Sim.schedule_cell_k sim k (fun () -> ())));
+  let sim = Sim.create () in
+  let n = 50_000 in
+  let remaining = ref n in
+  let tick = ref (fun () -> ()) in
+  (tick :=
+     fun () ->
+       if !remaining > 0 then begin
+         decr remaining;
+         (Sim.delay_cell sim).(0) <- 1e-6 *. float_of_int (1 + (!remaining land 3));
+         ignore (Sim.schedule_cell_k sim k !tick)
+       end);
+  ignore (Sim.schedule_k sim k ~delay:0. !tick);
+  let w0 = Gc.minor_words () in
+  Sim.run sim;
+  let per_event = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "computed delays: minor words per event < 0.5 (got %.3f)"
+       per_event)
+    true (per_event < 0.5)
+
 let test_sim_past_rejected () =
   let sim = Sim.create () in
   ignore (Sim.schedule sim ~delay:1. (fun () -> ()));
@@ -486,6 +534,7 @@ let suites =
         Alcotest.test_case "allocation-free schedule path" `Quick
           test_sim_alloc_free;
         Alcotest.test_case "past times rejected" `Quick test_sim_past_rejected;
+        Alcotest.test_case "delay cell" `Quick test_sim_delay_cell;
       ]
       @ qsuite [ prop_sim_schedule_cancel_model ] );
     ( "engine.rng",
