@@ -80,8 +80,8 @@ let micro () =
            for i = 0 to 999 do
              Pdq_engine.Heap.push h (float_of_int ((i * 7919) mod 1000)) i
            done;
-           while Pdq_engine.Heap.pop h <> None do
-             ()
+           while not (Pdq_engine.Heap.is_empty h) do
+             ignore (Pdq_engine.Heap.pop h)
            done))
   in
   let switch_bench =
@@ -168,7 +168,8 @@ let micro () =
     [ heap_bench; switch_bench; sim_bench; forensics_bench ]
 
 (* Machine-readable per-target record: wall-clock seconds, simulator
-   events executed (global-profiler delta over the target), resulting
+   events executed (global-profiler delta over the target; a flow-level
+   target counts one [flowsim.step] per rate recomputation), resulting
    events/s and the process peak heap. One JSON object per file so CI
    can diff runs without parsing the human tables. *)
 let write_bench_json ~name ~wall ~events =

@@ -19,7 +19,16 @@
 
     Protocol inefficiencies are modelled as in the paper: a flow
     initialization latency before a new flow transmits, and a constant
-    header-overhead factor on goodput. *)
+    header-overhead factor on goodput.
+
+    {b Cost.} A run allocates its state once: a flat all-float record
+    per flow, an int array of live flows and per-link scratch arrays
+    (DESIGN.md §10). A 1 ms step allocates nothing: it fills the
+    scratch in place, sorts flow indices with a stable merge sort on
+    keys computed once per step, and compacts the live set. When a
+    global {!Pdq_engine.Profiler} is enabled at the start of a run,
+    each step is recorded as one [flowsim.step] event, with its [dt]
+    of simulated time and no CPU time. *)
 
 type criticality_mode =
   | Perfect

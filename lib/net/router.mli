@@ -10,9 +10,12 @@
 type t
 
 val create : Topology.t -> t
-(** Build a router over the (final) topology. Distance tables are
-    computed lazily per destination and cached. Links that are
-    administratively down ({!Link.is_up}) are excluded from paths. *)
+(** Build a router over the (final) topology: every node's adjacency is
+    copied into flat arrays sorted by (peer, link id), once, so the
+    ECMP choice does not depend on link insertion order and a path walk
+    builds no lists. Distance tables are computed lazily per
+    destination and cached. Links that are administratively down
+    ({!Link.is_up}) are excluded from paths. *)
 
 val invalidate : t -> unit
 (** Drop every cached distance table. Call after link status changes
@@ -29,7 +32,7 @@ val path : t -> src:int -> dst:int -> choice:int -> int array
     selected by hashing [choice] at each branching point. *)
 
 val path_links : t -> src:int -> dst:int -> choice:int -> int array
-(** The directed link ids along {!path}. *)
+(** The directed link ids along {!path}: the links the walk took. *)
 
 val ecmp_width : t -> src:int -> dst:int -> int
 (** Number of distinct next hops on shortest paths at [src] towards

@@ -16,26 +16,29 @@ let check_float msg expected actual =
 (* ------------------------------------------------------------------ *)
 (* Heap *)
 
+(* Pop every element: (priority, payload) pairs in pop order. *)
+let drain_heap h =
+  let out = ref [] in
+  while not (Heap.is_empty h) do
+    let v = Heap.pop h in
+    out := ((Heap.cell h).(0), v) :: !out
+  done;
+  List.rev !out
+
 let test_heap_order () =
   let h = Heap.create () in
-  List.iter (fun p -> Heap.push h p p) [ 5.; 1.; 3.; 2.; 4. ];
-  let out = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some (p, _) ->
-        out := p :: !out;
-        drain ()
-    | None -> ()
-  in
-  drain ();
+  List.iter (fun p -> Heap.push h p (int_of_float p)) [ 5.; 1.; 3.; 2.; 4. ];
+  let out = drain_heap h in
   Alcotest.(check (list (float 1e-9)))
-    "sorted ascending" [ 1.; 2.; 3.; 4.; 5. ] (List.rev !out)
+    "sorted ascending" [ 1.; 2.; 3.; 4.; 5. ] (List.map fst out);
+  Alcotest.(check (list int)) "payload follows its priority" [ 1; 2; 3; 4; 5 ]
+    (List.map snd out)
 
 let test_heap_fifo_ties () =
   let h = Heap.create () in
-  List.iteri (fun i name -> Heap.push h (if i = 1 then 1. else 1.) name)
-    [ "a"; "b"; "c" ];
-  let pop () = match Heap.pop h with Some (_, v) -> v | None -> "?" in
+  let names = [| "a"; "b"; "c" |] in
+  Array.iteri (fun i _ -> Heap.push h (if i = 1 then 1. else 1.) i) names;
+  let pop () = names.(Heap.pop h) in
   let first = pop () in
   let second = pop () in
   let third = pop () in
@@ -45,8 +48,10 @@ let test_heap_fifo_ties () =
 let test_heap_empty () =
   let h = Heap.create () in
   Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
-  Alcotest.(check bool) "pop none" true (Heap.pop h = None);
-  Alcotest.(check bool) "peek none" true (Heap.peek h = None)
+  Alcotest.check_raises "pop on empty" (Invalid_argument "Heap.pop: empty heap")
+    (fun () -> ignore (Heap.pop h));
+  Alcotest.check_raises "peek on empty" (Invalid_argument "Heap.peek: empty heap")
+    (fun () -> ignore (Heap.peek h))
 
 let test_heap_growth () =
   let h = Heap.create ~capacity:2 () in
@@ -55,20 +60,18 @@ let test_heap_growth () =
   done;
   Alcotest.(check int) "length" 1000 (Heap.length h);
   for i = 0 to 999 do
-    match Heap.pop h with
-    | Some (_, v) -> Alcotest.(check int) "pop order" i v
-    | None -> Alcotest.fail "heap exhausted early"
+    if Heap.is_empty h then Alcotest.fail "heap exhausted early";
+    Alcotest.(check int) "pop order" i (Heap.pop h)
   done
 
 let test_heap_peek_stable () =
   let h = Heap.create () in
-  Heap.push h 2. "two";
-  Heap.push h 1. "one";
-  (match Heap.peek h with
-  | Some (p, v) ->
-      check_float "peek prio" 1. p;
-      Alcotest.(check string) "peek value" "one" v
-  | None -> Alcotest.fail "peek");
+  let names = [| "one"; "two" |] in
+  Heap.push h 2. 1;
+  Heap.push h 1. 0;
+  let v = Heap.peek h in
+  check_float "peek prio" 1. (Heap.cell h).(0);
+  Alcotest.(check string) "peek value" "one" names.(v);
   Alcotest.(check int) "peek does not remove" 2 (Heap.length h)
 
 (* The event core against a reference model: under arbitrary
@@ -120,12 +123,12 @@ let prop_heap_sorted =
     QCheck.(list (float_bound_exclusive 1000.))
     (fun prios ->
       let h = Heap.create () in
-      List.iter (fun p -> Heap.push h p p) prios;
-      let rec drain acc =
-        match Heap.pop h with Some (p, _) -> drain (p :: acc) | None -> List.rev acc
-      in
-      let out = drain [] in
-      out = List.sort compare prios)
+      let arr = Array.of_list prios in
+      Array.iteri (fun i p -> Heap.push h p i) arr;
+      let out = drain_heap h in
+      List.map fst out = List.sort compare prios
+      && List.for_all (fun (p, i) -> arr.(i) = p) out
+      && List.sort compare (List.map snd out) = List.init (Array.length arr) Fun.id)
 
 (* ------------------------------------------------------------------ *)
 (* Sim *)

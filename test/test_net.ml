@@ -399,6 +399,100 @@ let prop_routes_are_shortest =
       let p = Router.path router ~src ~dst ~choice:(a + b) in
       Array.length p = d + 1)
 
+(* Reference model for the router: the list-based walk it replaced.
+   At every node the next hops are the usable links to a neighbour one
+   hop closer to [dst], sorted by (peer, link id); the walk takes the
+   [hash3 choice node dst mod width]-th of them, and a path's links are
+   looked up by endpoints. *)
+let ref_hash3 a b c =
+  let h = ref 0x9E3779B9 in
+  let mix x =
+    h := (!h lxor (x + 0x7F4A7C15 + (!h lsl 6) + (!h lsr 2))) land max_int
+  in
+  mix a;
+  mix b;
+  mix c;
+  !h
+
+let ref_next_hops topo router ~node ~dst =
+  let dist v = try Router.distance router ~src:v ~dst with Not_found -> max_int in
+  let d = dist node in
+  List.filter_map
+    (fun (v, link) ->
+      if dist v = d - 1 && Link.is_up (Topology.link topo link) then Some (v, link)
+      else None)
+    (Topology.links_from topo node)
+  |> List.sort compare
+
+let ref_path topo router ~src ~dst ~choice =
+  ignore (Router.distance router ~src ~dst);
+  let rec walk node acc =
+    if node = dst then List.rev (node :: acc)
+    else
+      match ref_next_hops topo router ~node ~dst with
+      | [] -> raise Not_found
+      | hops ->
+          let next, _ = List.nth hops (ref_hash3 choice node dst mod List.length hops) in
+          walk next (node :: acc)
+  in
+  Array.of_list (walk src [])
+
+let ref_path_links topo router ~src ~dst ~choice =
+  let nodes = ref_path topo router ~src ~dst ~choice in
+  Array.init (Array.length nodes - 1) (fun i ->
+      Link.id (Topology.link_to topo ~src:nodes.(i) ~dst:nodes.(i + 1)))
+
+let ref_ecmp_width topo router ~src ~dst =
+  if src = dst then 0 else List.length (ref_next_hops topo router ~node:src ~dst)
+
+(* [Router] agrees with the reference on random (src, dst, choice)
+   triples over all nodes, switches included. *)
+let check_router_matches_reference ~what topo router rng =
+  let n = Topology.node_count topo in
+  let attempt f = try Some (f ()) with Not_found -> None in
+  for _ = 1 to 300 do
+    let src = Rng.int rng n and dst = Rng.int rng n and choice = Rng.int rng 10_000 in
+    let ctx = Printf.sprintf "%s: %d -> %d choice %d" what src dst choice in
+    Alcotest.(check (option (array int))) (ctx ^ " path")
+      (attempt (fun () -> ref_path topo router ~src ~dst ~choice))
+      (attempt (fun () -> Router.path router ~src ~dst ~choice));
+    Alcotest.(check (option (array int))) (ctx ^ " path_links")
+      (attempt (fun () -> ref_path_links topo router ~src ~dst ~choice))
+      (attempt (fun () -> Router.path_links router ~src ~dst ~choice));
+    Alcotest.(check int) (ctx ^ " ecmp_width")
+      (ref_ecmp_width topo router ~src ~dst)
+      (Router.ecmp_width router ~src ~dst)
+  done
+
+(* Also after a duplex switch-to-switch failure on a used path plus
+   [invalidate], and after the cable is restored. *)
+let test_router_matches_reference (name, build) () =
+  let built = build (Sim.create ()) in
+  let topo = built.Builder.topo in
+  let router = Router.create topo in
+  let rng = Rng.create 11 in
+  check_router_matches_reference ~what:name topo router rng;
+  let h = built.Builder.hosts in
+  let nodes = Router.path router ~src:h.(0) ~dst:h.(Array.length h - 1) ~choice:5 in
+  let a = nodes.(1) and b = nodes.(2) in
+  Topology.set_link_up topo ~a ~b false;
+  Router.invalidate router;
+  Alcotest.(check bool) "failed cable avoided" true
+    (not (Array.mem (Link.id (Topology.link_to topo ~src:a ~dst:b))
+            (Router.path_links router ~src:h.(0) ~dst:h.(Array.length h - 1) ~choice:5)));
+  check_router_matches_reference ~what:(name ^ " with a failed cable") topo router rng;
+  Topology.set_link_up topo ~a ~b true;
+  Router.invalidate router;
+  check_router_matches_reference ~what:(name ^ " restored") topo router rng
+
+let reference_topologies =
+  [
+    ("fat-tree", fun sim -> Builder.fat_tree ~sim ~k:4 ());
+    ("BCube", fun sim -> Builder.bcube ~sim ~n:2 ~k:3 ());
+    ( "Jellyfish",
+      fun sim -> Builder.jellyfish ~sim ~rng:(Rng.create 9) ~switches:20 ~ports:8 ~net_ports:5 () );
+  ]
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let suites =
@@ -435,5 +529,10 @@ let suites =
         Alcotest.test_case "ecmp diversity" `Quick test_route_ecmp_diversity;
         Alcotest.test_case "path/link consistency" `Quick test_path_links_consistent;
       ]
+      @ List.map
+          (fun ((name, _) as topo) ->
+            Alcotest.test_case ("matches list walk: " ^ name) `Quick
+              (test_router_matches_reference topo))
+          reference_topologies
       @ qsuite [ prop_routes_are_shortest ] );
   ]
